@@ -4,55 +4,31 @@
 //! nonblocking receives posted first), then the full local stencil, then
 //! the state copy — no overlap of communication and computation.
 
-use crate::halo::{exchange_halos, HaloBuffers};
-use crate::runner::{assemble_global, local_initial_field, RunConfig};
+use crate::runner::{run_ranks, RunConfig, RunReport};
 use advect_core::field::Field3;
 use advect_core::stencil::{apply_stencil_slab_tiled, copy_region_slab};
 use advect_core::team::ThreadTeam;
-use decomp::ExchangePlan;
-use simmpi::World;
-
-/// Static z cut points for a thread team — the threads-aware partitioner
-/// now lives in `advect_core::tile`; re-exported for the other runners.
-pub(crate) use advect_core::tile::z_cuts;
+use advect_core::tile::z_cuts;
 
 /// The bulk-synchronous distributed implementation.
 pub struct BulkSyncMpi;
 
 impl BulkSyncMpi {
-    /// Run and return the assembled global state (from rank 0).
-    pub fn run(cfg: &RunConfig) -> Field3 {
-        Self::run_with_report(cfg).0
-    }
-
     /// Run, returning the global state plus per-rank substrate statistics.
-    pub fn run_with_report(cfg: &RunConfig) -> (Field3, crate::runner::RunReport) {
-        let decomp = cfg.decomposition();
-        let decomp_ref = &decomp;
-        let anchor = obs::Anchor::now();
-        let metrics = obs::registry::Metrics::enabled(cfg.metrics);
-        let metrics_ref = &metrics;
-        let results = World::run_with_faults(cfg.ntasks, cfg.fault.mpi, move |comm| {
-            let tracer = crate::runner::rank_instruments(cfg, comm, anchor, metrics_ref);
-            let rank = comm.rank();
-            let step_hist = crate::runner::step_histogram(metrics_ref, "bulk_sync", rank);
-            let sub = decomp_ref.subdomains[rank];
-            let mut cur = local_initial_field(cfg, decomp_ref, rank);
-            let mut new = Field3::new(sub.extent.0, sub.extent.1, sub.extent.2, 1);
-            let plan = ExchangePlan::new(sub.extent, 1);
-            let halo_bufs = HaloBuffers::new(&plan, comm);
+    pub fn run_with_report(cfg: &RunConfig) -> (Field3, RunReport) {
+        run_ranks(cfg, "bulk_sync", None, 1, |r| {
+            let mut cur = r.initial_field();
+            let mut new = r.zero_field();
             let team = ThreadTeam::new(cfg.threads);
-            let cuts = z_cuts(sub.extent.2, cfg.threads);
+            let cuts = z_cuts(r.sub.extent.2, cfg.threads);
             let region = cur.interior_range();
-            comm.barrier(); // the paper barriers before starting the timer
-            for _ in 0..cfg.steps {
-                let step_t0 = step_hist.start();
+            r.steps(cfg.steps, || {
                 // Step 1: full exchange, master thread drives communication.
-                exchange_halos(&mut cur, &plan, decomp_ref, rank, comm, &halo_bufs);
+                r.exchange(&mut cur);
                 // Step 2: stencil over the whole interior, threaded by z-slab.
-                let throttle = comm.throttle_start();
+                let throttle = r.comm.throttle_start();
                 {
-                    let _span = tracer.span(obs::Category::ComputeInterior, "stencil");
+                    let _span = r.tracer.span(obs::Category::ComputeInterior, "stencil");
                     let src = &cur;
                     let stencil = cfg.problem.stencil();
                     let tile = cfg.tile_spec(cur.extents().0);
@@ -69,18 +45,9 @@ impl BulkSyncMpi {
                         copy_region_slab(src, &mut slab, region);
                     });
                 }
-                comm.throttle_end(throttle);
-                step_hist.observe_since(step_t0);
-            }
-            comm.barrier();
-            (
-                assemble_global(cfg, decomp_ref, comm, &cur),
-                comm.stats(),
-                comm.fault_stats(),
-                None,
-                crate::runner::finish_trace(&tracer),
-            )
-        });
-        crate::runner::collect_report(results, metrics)
+                r.comm.throttle_end(throttle);
+            });
+            cur
+        })
     }
 }

@@ -22,12 +22,9 @@
 //! `W` steps while hot in cache. The trace shows exactly one
 //! `timetile.traversal` span per exchange.
 
-use crate::halo::{exchange_halos, HaloBuffers};
-use crate::runner::{assemble_global, local_initial_field, RunConfig};
+use crate::runner::{run_ranks, RunConfig, RunReport};
 use advect_core::field::Field3;
 use advect_core::sweep::SweepPool;
-use decomp::ExchangePlan;
-use simmpi::World;
 
 /// The deep-halo (communication-avoiding) bulk-synchronous implementation.
 pub struct DeepHaloBulkSync;
@@ -40,51 +37,40 @@ impl DeepHaloBulkSync {
     }
 
     /// Run, returning the global state plus per-rank substrate statistics.
-    pub fn run_with_report(cfg: &RunConfig, width: usize) -> (Field3, crate::runner::RunReport) {
+    pub fn run_with_report(cfg: &RunConfig, width: usize) -> (Field3, RunReport) {
         assert!(width >= 1, "halo width must be at least 1");
-        let decomp = cfg.decomposition();
-        let decomp_ref = &decomp;
-        let anchor = obs::Anchor::now();
-        let metrics = obs::registry::Metrics::enabled(cfg.metrics);
-        let metrics_ref = &metrics;
-        let results = World::run_with_faults(cfg.ntasks, cfg.fault.mpi, move |comm| {
-            let tracer = crate::runner::rank_instruments(cfg, comm, anchor, metrics_ref);
-            let rank = comm.rank();
-            let step_hist = crate::runner::step_histogram(metrics_ref, "deep_halo", rank);
-            let sub = decomp_ref.subdomains[rank];
-            let (nx, ny, nz) = sub.extent;
+        run_ranks(cfg, "deep_halo", None, width, |r| {
+            let (nx, ny, nz) = r.sub.extent;
             assert!(
                 width <= nx.min(ny).min(nz),
                 "halo width {width} exceeds subdomain extent ({nx},{ny},{nz})"
             );
             // Wide-halo fields: reuse the initial fill, then re-home it
             // into width-W storage.
-            let narrow = local_initial_field(cfg, decomp_ref, rank);
+            let narrow = r.initial_field();
             let pool = SweepPool::new(cfg.threads);
             let mut cur = Field3::new_placed(nx, ny, nz, width, &pool);
             for (x, y, z) in cur.interior_range().iter() {
                 *cur.at_mut(x, y, z) = narrow.at(x, y, z);
             }
             let mut new = Field3::new_placed(nx, ny, nz, width, &pool);
-            let plan = ExchangePlan::new(sub.extent, width);
-            let halo_bufs = HaloBuffers::new(&plan, comm);
             let stencil = cfg.problem.stencil();
             let tile = match cfg.tile {
                 Some((ty, tz)) => advect_core::tile::TileSpec::new(ty, tz),
                 None => advect_core::timetile::tile_for_host(cur.extents().0, width, cfg.threads),
             };
-            comm.barrier();
+            // One timed iteration per exchange: bursts of `width` steps.
             let mut remaining = cfg.steps;
-            while remaining > 0 {
-                let step_t0 = step_hist.start();
-                exchange_halos(&mut cur, &plan, decomp_ref, rank, comm, &halo_bufs);
+            r.steps(cfg.steps.div_ceil(width as u64), || {
+                r.exchange(&mut cur);
                 let burst = (width as u64).min(remaining);
-                let throttle = comm.throttle_start();
+                let throttle = r.comm.throttle_start();
                 {
                     // One fused traversal advances the interior by the
                     // whole burst — the depth-`width` exchange licenses
                     // every skirt read the trapezoid tiles make.
-                    let _span = tracer.span(obs::Category::ComputeInterior, "timetile.traversal");
+                    let label = "timetile.traversal";
+                    let _span = r.tracer.span(obs::Category::ComputeInterior, label);
                     advect_core::timetile::advance_pooled(
                         &cur,
                         &mut new,
@@ -96,20 +82,11 @@ impl DeepHaloBulkSync {
                     );
                     std::mem::swap(&mut cur, &mut new);
                 }
-                comm.throttle_end(throttle);
-                step_hist.observe_since(step_t0);
+                r.comm.throttle_end(throttle);
                 remaining -= burst;
-            }
-            comm.barrier();
-            (
-                assemble_global(cfg, decomp_ref, comm, &cur),
-                comm.stats(),
-                comm.fault_stats(),
-                None,
-                crate::runner::finish_trace(&tracer),
-            )
-        });
-        crate::runner::collect_report(results, metrics)
+            });
+            cur
+        })
     }
 
     /// Redundant points computed per interior point per step for halo
@@ -129,7 +106,10 @@ impl DeepHaloBulkSync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::halo::{exchange_halos, HaloBuffers};
     use advect_core::stepper::{AdvectionProblem, SerialStepper};
+    use decomp::ExchangePlan;
+    use simmpi::World;
 
     fn reference(problem: AdvectionProblem, steps: u64) -> Field3 {
         let mut s = SerialStepper::new(problem);

@@ -1,9 +1,28 @@
-//! Shared plumbing for the GPU implementations: device-resident fields in
-//! the same layout as host [`Field3`]s, and ring transfers (pack → PCIe →
-//! unpack) between device state and a host mirror.
+//! Shared plumbing for the GPU implementations: the per-rank device,
+//! device-resident fields in the same layout as host [`Field3`]s, stencil
+//! launches over regions, ring transfers (pack → PCIe → unpack) between
+//! device state and a host mirror, and the final readback.
 
+use crate::runner::RunConfig;
 use advect_core::field::{Field3, Range3};
-use simgpu::{FieldDims, Gpu, GpuBuffer, Stream};
+use simgpu::{FieldDims, Gpu, GpuBuffer, GpuSpec, StencilLaunch, Stream};
+
+/// A rank's device: the run's GPU fault plan reseeded for the rank, the
+/// rank's tracer and the run's metrics installed, and the stencil
+/// coefficients in constant memory.
+pub(crate) fn rank_device(
+    spec: &GpuSpec,
+    cfg: &RunConfig,
+    rank: usize,
+    tracer: &obs::Tracer,
+    metrics: &obs::registry::Metrics,
+) -> Gpu {
+    let gpu = Gpu::new(spec.clone()).with_fault_plan(cfg.fault.gpu.for_rank(rank));
+    gpu.install_tracer(tracer.clone());
+    gpu.install_metrics(metrics, rank);
+    gpu.set_constant(cfg.problem.stencil().a);
+    gpu
+}
 
 /// A device-resident field pair (current and new state) in host layout.
 pub struct DeviceField {
@@ -91,13 +110,30 @@ impl DeviceField {
         }
     }
 
-    /// Download the full interior of a device buffer into the host mirror
-    /// (final verification readback; untimed).
-    pub fn interior_to_host(&self, gpu: &Gpu, src: GpuBuffer, host: &mut Field3) {
-        gpu.sync_device();
-        let data = gpu.read_untimed(src);
-        for (x, y, z) in host.interior_range().iter() {
-            *host.at_mut(x, y, z) = data[self.dims.idx(x, y, z)];
+    /// Launch the stencil kernel `cur → new` on `stream` over each
+    /// non-empty region (non-periodic: the halo comes from the rings).
+    pub fn launch(&self, gpu: &Gpu, stream: Stream, regions: &[Range3], block: (usize, usize)) {
+        for &region in regions.iter().filter(|r| !r.is_empty()) {
+            let launch = StencilLaunch {
+                dims: self.dims,
+                region,
+                block,
+                periodic: false,
+            };
+            gpu.launch_stencil(stream, self.cur, self.new, launch);
         }
+    }
+
+    /// Final verification readback (untimed): `host` with the current
+    /// device state copied into the GPU's `block`.
+    pub fn readback(&self, gpu: &Gpu, mut host: Field3, block: Range3) -> Field3 {
+        if !block.is_empty() {
+            gpu.sync_device();
+            let data = gpu.read_untimed(self.cur);
+            for (x, y, z) in block.iter() {
+                *host.at_mut(x, y, z) = data[self.dims.idx(x, y, z)];
+            }
+        }
+        host
     }
 }

@@ -8,7 +8,7 @@
 //! best-case scenario the parallel GPU implementations are measured
 //! against (86 GF on Yona, Section V-E).
 
-use crate::runner::{RunConfig, RunReport};
+use crate::runner::{RunConfig, RunReport, Solo, StepTimer};
 use advect_core::field::Field3;
 use simgpu::{FieldDims, Gpu, GpuSpec, StencilLaunch, Stream};
 
@@ -16,40 +16,24 @@ use simgpu::{FieldDims, Gpu, GpuSpec, StencilLaunch, Stream};
 pub struct GpuResident;
 
 impl GpuResident {
-    /// Run on a device of the given spec; returns the final state.
-    pub fn run(cfg: &RunConfig, spec: &GpuSpec) -> Field3 {
-        assert_eq!(cfg.ntasks, 1, "IV-E runs on a single task");
-        let gpu = Gpu::new(spec.clone());
-        Self::run_on(cfg, &gpu)
-    }
-
     /// Run on a fresh device, returning the final state plus a report
     /// carrying the device counters (and, when traced, the kernel-launch
     /// wall spans plus the device timeline bridged onto the virtual axis).
     pub fn run_with_report(cfg: &RunConfig, spec: &GpuSpec) -> (Field3, RunReport) {
-        assert_eq!(cfg.ntasks, 1, "IV-E runs on a single task");
+        let solo = Solo::new(cfg, "gpu_resident");
         let gpu = Gpu::new(spec.clone()).with_fault_plan(cfg.fault.gpu);
-        let tracer = obs::Tracer::enabled(cfg.trace, 0, obs::Anchor::now());
-        let metrics = obs::registry::Metrics::enabled(cfg.metrics);
-        gpu.install_tracer(tracer.clone());
-        gpu.install_metrics(&metrics, 0);
-        let out = Self::run_on(cfg, &gpu);
-        tracer.absorb(&gpu.timeline().to_trace_events());
-        let mut report = RunReport {
-            comm: vec![simmpi::CommStats::default()],
-            fault: vec![simmpi::FaultStats::default()],
-            gpu: vec![gpu.stats()],
-            metrics,
-            ..RunReport::default()
-        };
-        if let Some(t) = crate::runner::finish_trace(&tracer) {
-            report.traces.push(t);
-        }
-        (out, report)
+        gpu.install_tracer(solo.tracer.clone());
+        gpu.install_metrics(&solo.metrics, 0);
+        let out = Self::run_timed(cfg, &gpu, &solo.timer);
+        solo.report(out, Some(&gpu))
     }
 
     /// Run on an existing device (lets callers inspect device stats).
     pub fn run_on(cfg: &RunConfig, gpu: &Gpu) -> Field3 {
+        Self::run_timed(cfg, gpu, &StepTimer::default())
+    }
+
+    fn run_timed(cfg: &RunConfig, gpu: &Gpu, timer: &StepTimer) -> Field3 {
         let n = cfg.problem.n;
         let dims = FieldDims {
             nx: n,
@@ -70,7 +54,7 @@ impl GpuResident {
         // initial copy is excluded from measurement.
         gpu.sync_device();
         gpu.reset_clock();
-        for _ in 0..cfg.steps {
+        timer.run(cfg.steps, || {
             gpu.launch_stencil(
                 Stream::DEFAULT,
                 cur,
@@ -83,7 +67,7 @@ impl GpuResident {
                 },
             );
             std::mem::swap(&mut cur, &mut new);
-        }
+        });
         gpu.sync_device();
         let data = gpu.read_untimed(cur);
         let mut out = Field3::new(n, n, n, 1);

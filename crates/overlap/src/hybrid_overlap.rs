@@ -17,21 +17,18 @@
 //!   Section V-E identifies as the real win.
 
 use crate::gpu_common::DeviceField;
-use crate::halo::HaloBuffers;
-use crate::runner::{assemble_global, local_initial_field, RunConfig};
+use crate::runner::{run_ranks, RunConfig, RunReport};
 use advect_core::field::{Field3, SharedField};
 use advect_core::stencil::apply_stencil_cells_tiled;
 use advect_core::team::ThreadTeam;
 use decomp::partition::{shell_and_core, BoxPartition};
-use decomp::ExchangePlan;
-use simgpu::{Gpu, GpuSpec, StencilLaunch, Stream};
-use simmpi::World;
+use simgpu::{GpuSpec, Stream};
 
 /// The full-overlap hybrid implementation.
 pub struct HybridOverlap;
 
 impl HybridOverlap {
-    /// Run and return the assembled global state (from rank 0).
+    /// Run, returning the global state plus per-rank substrate statistics.
     ///
     /// Panics if `cfg.thickness == 0`: the full-overlap schedule uploads
     /// the GPU's halo ring *before* the MPI exchange, which is only
@@ -39,36 +36,17 @@ impl HybridOverlap {
     /// from the MPI halo — precisely the decoupling Section V-E credits
     /// for this implementation's performance. Thickness 0 is
     /// implementation IV-G's territory.
-    pub fn run(cfg: &RunConfig, spec: &GpuSpec) -> Field3 {
-        Self::run_with_report(cfg, spec).0
-    }
-
-    /// Run, returning the global state plus per-rank substrate statistics.
-    pub fn run_with_report(cfg: &RunConfig, spec: &GpuSpec) -> (Field3, crate::runner::RunReport) {
+    pub fn run_with_report(cfg: &RunConfig, spec: &GpuSpec) -> (Field3, RunReport) {
         assert!(
             cfg.thickness >= 1,
             "IV-I needs a CPU veneer (thickness >= 1); use IV-G for thickness 0"
         );
-        let decomp = cfg.decomposition();
-        let decomp_ref = &decomp;
-        let anchor = obs::Anchor::now();
-        let metrics = obs::registry::Metrics::enabled(cfg.metrics);
-        let metrics_ref = &metrics;
-        let results = World::run_with_faults(cfg.ntasks, cfg.fault.mpi, move |comm| {
-            let tracer = crate::runner::rank_instruments(cfg, comm, anchor, metrics_ref);
-            let rank = comm.rank();
-            let step_hist = crate::runner::step_histogram(metrics_ref, "hybrid_overlap", rank);
-            let sub = decomp_ref.subdomains[rank];
-            let gpu = Gpu::new(spec.clone()).with_fault_plan(cfg.fault.gpu.for_rank(rank));
-            gpu.install_tracer(tracer.clone());
-            gpu.install_metrics(metrics_ref, rank);
-            gpu.set_constant(cfg.problem.stencil().a);
-            let mut cur = local_initial_field(cfg, decomp_ref, rank);
-            let mut new = Field3::new(sub.extent.0, sub.extent.1, sub.extent.2, 1);
-            let mut dev = DeviceField::from_host(&gpu, &cur);
-            let part = BoxPartition::new(sub.extent, cfg.thickness);
-            let plan = ExchangePlan::new(sub.extent, 1);
-            let halo_bufs = HaloBuffers::new(&plan, comm);
+        run_ranks(cfg, "hybrid_overlap", Some(spec), 1, |r| {
+            let (gpu, comm, tracer) = (r.gpu(), r.comm, &r.tracer);
+            let mut cur = r.initial_field();
+            let mut new = r.zero_field();
+            let mut dev = DeviceField::from_host(gpu, &cur);
+            let part = BoxPartition::new(r.sub.extent, cfg.thickness);
             let team = ThreadTeam::new(cfg.threads);
             let stencil = cfg.problem.stencil();
             let tile = cfg.tile_spec(cur.extents().0);
@@ -77,43 +55,14 @@ impl HybridOverlap {
             // outer boundary points (touching the MPI halo).
             let (inner1, outer_shell) = shell_and_core(full, 1);
             let s_halo = gpu.create_stream();
-            comm.barrier();
-            for _ in 0..cfg.steps {
-                let step_t0 = step_hist.start();
+            r.steps(cfg.steps, || {
                 // 1. GPU interior kernel on the compute stream.
-                if !part.gpu_deep_interior.is_empty() {
-                    gpu.launch_stencil(
-                        Stream::DEFAULT,
-                        dev.cur,
-                        dev.new,
-                        StencilLaunch {
-                            dims: dev.dims,
-                            region: part.gpu_deep_interior,
-                            block: cfg.block,
-                            periodic: false,
-                        },
-                    );
-                }
+                dev.launch(gpu, Stream::DEFAULT, &[part.gpu_deep_interior], cfg.block);
                 // 2. Async halo-ring upload, boundary kernels, and new
                 //    boundary-ring download, all on the halo stream.
-                dev.regions_h2d(&gpu, s_halo, dev.cur, &part.gpu_halo_ring, &cur);
-                for &face in &part.gpu_boundary_ring {
-                    if face.is_empty() {
-                        continue;
-                    }
-                    gpu.launch_stencil(
-                        s_halo,
-                        dev.cur,
-                        dev.new,
-                        StencilLaunch {
-                            dims: dev.dims,
-                            region: face,
-                            block: cfg.block,
-                            periodic: false,
-                        },
-                    );
-                }
-                dev.regions_d2h(&gpu, s_halo, dev.new, &part.gpu_boundary_ring, &mut new);
+                dev.regions_h2d(gpu, s_halo, dev.cur, &part.gpu_halo_ring, &cur);
+                dev.launch(gpu, s_halo, &part.gpu_boundary_ring, cfg.block);
+                dev.regions_d2h(gpu, s_halo, dev.new, &part.gpu_boundary_ring, &mut new);
                 // 3. Per-dimension: MPI phase overlapped with the inner
                 //    points of that dimension's walls. `cur` is shared
                 //    because the phase completion writes its halo while
@@ -123,15 +72,15 @@ impl HybridOverlap {
                     let cur_shared = SharedField::new(&mut cur);
                     let writer = SharedField::new(&mut new);
                     for dim in 0..3 {
-                        let phase = &plan.phases[dim];
+                        let phase = &r.plan.phases[dim];
                         let mut recvs = Vec::with_capacity(2);
                         for (i, t) in phase.transfers.iter().enumerate() {
-                            let from = decomp_ref.neighbor(rank, t.dim, -t.send_dir);
+                            let from = r.decomp.neighbor(r.rank, t.dim, -t.send_dir);
                             recvs.push((i, comm.irecv(from, t.recv_tag)));
                         }
                         for (i, t) in phase.transfers.iter().enumerate() {
-                            let to = decomp_ref.neighbor(rank, t.dim, t.send_dir);
-                            let mut buf = halo_bufs.take(dim, i, t.send_region.len(), comm);
+                            let to = r.decomp.neighbor(r.rank, t.dim, t.send_dir);
+                            let mut buf = r.halo_bufs.take(dim, i, t.send_region.len(), comm);
                             {
                                 let _span = tracer.span(obs::Category::Pack, "halo.pack");
                                 cur_shared.pack_into(t.send_region, &mut buf);
@@ -164,16 +113,16 @@ impl HybridOverlap {
                                 let _span = tracer.span(obs::Category::Unpack, "halo.unpack");
                                 cur_shared.unpack(phase.transfers[i].recv_region, &data);
                             }
-                            halo_bufs.deposit(dim, i, data);
+                            r.halo_bufs.deposit(dim, i, data);
                         }
                     }
                     // 4. Outer boundary points of every wall (need halos).
                     let mut outer_regions = Vec::new();
                     for w in &part.cpu_walls {
                         for s in &outer_shell {
-                            let r = w.intersect(s);
-                            if !r.is_empty() {
-                                outer_regions.push(r);
+                            let region = w.intersect(s);
+                            if !region.is_empty() {
+                                outer_regions.push(region);
                             }
                         }
                     }
@@ -193,30 +142,12 @@ impl HybridOverlap {
                 for w in &part.cpu_walls {
                     cur.copy_region_from(&new, *w);
                 }
-                for r in &part.gpu_boundary_ring {
-                    cur.copy_region_from(&new, *r);
+                for ring in &part.gpu_boundary_ring {
+                    cur.copy_region_from(&new, *ring);
                 }
                 dev.swap();
-                step_hist.observe_since(step_t0);
-            }
-            comm.barrier();
-            let mut final_host = cur.clone();
-            if !part.gpu_block.is_empty() {
-                gpu.sync_device();
-                let data = gpu.read_untimed(dev.cur);
-                for (x, y, z) in part.gpu_block.iter() {
-                    *final_host.at_mut(x, y, z) = data[dev.dims.idx(x, y, z)];
-                }
-            }
-            tracer.absorb(&gpu.timeline().to_trace_events());
-            (
-                assemble_global(cfg, decomp_ref, comm, &final_host),
-                comm.stats(),
-                comm.fault_stats(),
-                Some(gpu.stats()),
-                crate::runner::finish_trace(&tracer),
-            )
-        });
-        crate::runner::collect_report(results, metrics)
+            });
+            dev.readback(gpu, cur, part.gpu_block)
+        })
     }
 }

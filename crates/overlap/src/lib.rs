@@ -161,18 +161,7 @@ impl Impl {
     /// Run the implementation and return the final global state.
     /// `spec` is required for GPU implementations.
     pub fn run(&self, cfg: &RunConfig, spec: Option<&GpuSpec>) -> Field3 {
-        let gpu = || spec.expect("GPU implementations need a GpuSpec");
-        match self {
-            Impl::SingleTask => SingleTask::run(cfg),
-            Impl::BulkSync => BulkSyncMpi::run(cfg),
-            Impl::Nonblocking => NonblockingMpi::run(cfg),
-            Impl::ThreadOverlap => ThreadOverlapMpi::run(cfg),
-            Impl::GpuResident => GpuResident::run(cfg, gpu()),
-            Impl::GpuBulkSync => GpuBulkSyncMpi::run(cfg, gpu()),
-            Impl::GpuStreams => GpuStreamsMpi::run(cfg, gpu()),
-            Impl::HybridBulkSync => HybridBulkSync::run(cfg, gpu()),
-            Impl::HybridOverlap => HybridOverlap::run(cfg, gpu()),
-        }
+        self.run_with_report(cfg, spec).0
     }
 
     /// Run the implementation, returning the final global state plus the

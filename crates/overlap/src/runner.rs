@@ -1,9 +1,12 @@
-//! Shared run configuration and distributed-state assembly.
+//! Shared run configuration, the per-rank run skeleton every
+//! implementation steps inside, and distributed-state assembly.
 
+use crate::halo::{exchange_halos, HaloBuffers};
 use advect_core::field::Field3;
 use advect_core::stepper::AdvectionProblem;
-use decomp::Decomposition;
-use simmpi::Comm;
+use decomp::{Decomposition, ExchangePlan, Subdomain};
+use simgpu::{Gpu, GpuSpec};
+use simmpi::{Comm, World};
 
 /// Fault injection for a run: the MPI-side plan (delivery perturbation,
 /// stragglers, bounded waits) and the GPU-side plan (launch jitter, PCIe
@@ -349,86 +352,207 @@ impl RunReport {
     }
 }
 
-/// What each rank closure hands back: the assembled global state (rank 0
-/// only), its comm counters, fault observations, device counters, and
-/// span trace.
-pub(crate) type RankResult = (
-    Option<Field3>,
-    simmpi::CommStats,
-    simmpi::FaultStats,
-    Option<simgpu::GpuStats>,
-    Option<obs::Trace>,
-);
+/// The `advect_step_ns{impl,rank}` histogram as a step loop: wall time per
+/// advection step. The default timer is off; so is the timer of an
+/// unmetered run, which never touches the registry (no label strings).
+#[derive(Default)]
+pub(crate) struct StepTimer(obs::registry::Histogram);
 
-/// Assemble per-rank `(global, comm, fault, gpu, trace)` results into
-/// `(Field3, RunReport)` — shared tail of every implementation's
-/// `run_with_report`. The run's metrics registry (shared by every rank)
-/// rides along in the report.
-pub(crate) fn collect_report(
-    results: Vec<RankResult>,
-    metrics: obs::registry::Metrics,
+impl StepTimer {
+    pub(crate) fn new(registry: &obs::registry::Metrics, slug: &'static str, rank: usize) -> Self {
+        if !registry.is_on() {
+            return Self::default();
+        }
+        Self(registry.histogram(
+            "advect_step_ns",
+            "Wall time per advection step, nanoseconds",
+            &[("impl", slug.to_string()), ("rank", rank.to_string())],
+        ))
+    }
+
+    /// Run `n` iterations of `step`, observing each one.
+    pub(crate) fn run(&self, n: u64, mut step: impl FnMut()) {
+        for _ in 0..n {
+            let t0 = self.0.start();
+            step();
+            self.0.observe_since(t0);
+        }
+    }
+}
+
+/// One rank's row of a [`RunReport`]: its counters, its device's counters
+/// and its trace (`Some` only when traced). Call after all rank-local
+/// threads have quiesced and the device timeline is absorbed.
+fn rank_row(
+    comm: simmpi::CommStats,
+    fault: simmpi::FaultStats,
+    gpu: Option<&Gpu>,
+    tracer: &obs::Tracer,
+) -> RunReport {
+    let trace = tracer.is_on().then(|| tracer.finish());
+    RunReport {
+        comm: vec![comm],
+        fault: vec![fault],
+        gpu: gpu.map(Gpu::stats).into_iter().collect(),
+        traces: trace.into_iter().collect(),
+        metrics: obs::registry::Metrics::off(),
+    }
+}
+
+/// Bridge a device's timeline onto its rank's trace (virtual axis).
+fn absorb(tracer: &obs::Tracer, gpu: Option<&Gpu>) {
+    if let Some(gpu) = gpu {
+        tracer.absorb(&gpu.timeline().to_trace_events());
+    }
+}
+
+/// The instruments of a run on the caller's thread (IV-A, IV-E): one
+/// rank, no world, no communication.
+pub(crate) struct Solo {
+    pub(crate) tracer: obs::Tracer,
+    pub(crate) metrics: obs::registry::Metrics,
+    pub(crate) timer: StepTimer,
+}
+
+impl Solo {
+    pub(crate) fn new(cfg: &RunConfig, slug: &'static str) -> Self {
+        assert_eq!(cfg.ntasks, 1, "{slug} runs on a single task");
+        let metrics = obs::registry::Metrics::enabled(cfg.metrics);
+        Self {
+            tracer: obs::Tracer::enabled(cfg.trace, 0, obs::Anchor::now()),
+            timer: StepTimer::new(&metrics, slug, 0),
+            metrics,
+        }
+    }
+
+    /// The run's final state and one-rank report.
+    pub(crate) fn report(self, state: Field3, gpu: Option<&Gpu>) -> (Field3, RunReport) {
+        absorb(&self.tracer, gpu);
+        let row = rank_row(Default::default(), Default::default(), gpu, &self.tracer);
+        (
+            state,
+            RunReport {
+                metrics: self.metrics,
+                ..row
+            },
+        )
+    }
+}
+
+/// One rank of a distributed run, as [`run_ranks`] hands it to an
+/// implementation: its communicator with the run's instruments installed,
+/// its subdomain, its exchange plan and pooled halo buffers, and — for the
+/// GPU implementations — its device.
+pub(crate) struct Rank<'a> {
+    pub(crate) cfg: &'a RunConfig,
+    pub(crate) decomp: &'a Decomposition,
+    pub(crate) comm: &'a Comm,
+    pub(crate) rank: usize,
+    pub(crate) sub: Subdomain,
+    pub(crate) tracer: obs::Tracer,
+    pub(crate) plan: ExchangePlan,
+    pub(crate) halo_bufs: HaloBuffers,
+    gpu: Option<Gpu>,
+    timer: StepTimer,
+}
+
+impl Rank<'_> {
+    /// The rank's device (GPU implementations only).
+    pub(crate) fn gpu(&self) -> &Gpu {
+        self.gpu.as_ref().expect("GPU implementations get a device")
+    }
+
+    /// The rank's initial state ([`local_initial_field`]).
+    pub(crate) fn initial_field(&self) -> Field3 {
+        local_initial_field(self.cfg, self.decomp, self.rank)
+    }
+
+    /// A zeroed field of the rank's extent with a one-point halo.
+    pub(crate) fn zero_field(&self) -> Field3 {
+        let (nx, ny, nz) = self.sub.extent;
+        Field3::new(nx, ny, nz, 1)
+    }
+
+    /// The full bulk-synchronous halo exchange of `field`.
+    pub(crate) fn exchange(&self, field: &mut Field3) {
+        exchange_halos(
+            field,
+            &self.plan,
+            self.decomp,
+            self.rank,
+            self.comm,
+            &self.halo_bufs,
+        );
+    }
+
+    /// The measured loop: `n` iterations of `step`, each observed into
+    /// `advect_step_ns`, between the start and end barriers (the paper
+    /// barriers before starting the timer).
+    pub(crate) fn steps(&self, n: u64, step: impl FnMut()) {
+        self.comm.barrier();
+        self.timer.run(n, step);
+        self.comm.barrier();
+    }
+}
+
+/// The per-rank run lifecycle every distributed implementation shares.
+/// Launches a world of `cfg.ntasks` ranks under the MPI fault plan; on
+/// each rank installs the tracer and metrics, builds the device when
+/// `spec` is given (see [`crate::gpu_common::rank_device`]) and a
+/// depth-`halo` exchange plan, then runs `body`, which supplies the
+/// implementation's setup, its [`Rank::steps`] loop and its final
+/// readback, returning the rank's local state. The tail absorbs the device
+/// timeline, gathers the global state to rank 0 and collects every rank's
+/// counters and trace into the report.
+pub(crate) fn run_ranks(
+    cfg: &RunConfig,
+    slug: &'static str,
+    spec: Option<&GpuSpec>,
+    halo: usize,
+    body: impl Fn(&Rank) -> Field3 + Sync,
 ) -> (Field3, RunReport) {
+    let decomp = cfg.decomposition();
+    let anchor = obs::Anchor::now();
+    let metrics = obs::registry::Metrics::enabled(cfg.metrics);
+    let (decomp, registry) = (&decomp, &metrics);
+    let rows = World::run_with_faults(cfg.ntasks, cfg.fault.mpi, |comm| {
+        let rank = comm.rank();
+        let tracer = obs::Tracer::enabled(cfg.trace, rank, anchor);
+        comm.install_tracer(tracer.clone());
+        comm.install_metrics(registry);
+        let sub = decomp.subdomains[rank];
+        let plan = ExchangePlan::new(sub.extent, halo);
+        let r = Rank {
+            timer: StepTimer::new(registry, slug, rank),
+            gpu: spec.map(|s| crate::gpu_common::rank_device(s, cfg, rank, &tracer, registry)),
+            halo_bufs: HaloBuffers::new(&plan, comm),
+            cfg,
+            decomp,
+            comm,
+            rank,
+            sub,
+            tracer,
+            plan,
+        };
+        let local = body(&r);
+        absorb(&r.tracer, r.gpu.as_ref());
+        let global = assemble_global(cfg, decomp, comm, &local);
+        let row = rank_row(comm.stats(), comm.fault_stats(), r.gpu.as_ref(), &r.tracer);
+        (global, row)
+    });
     let mut report = RunReport {
         metrics,
         ..RunReport::default()
     };
     let mut global = None;
-    for (g, c, f, d, t) in results {
-        if let Some(g) = g {
-            global = Some(g);
-        }
-        report.comm.push(c);
-        report.fault.push(f);
-        if let Some(d) = d {
-            report.gpu.push(d);
-        }
-        if let Some(t) = t {
-            report.traces.push(t);
-        }
+    for (g, row) in rows {
+        global = global.or(g);
+        report.comm.extend(row.comm);
+        report.fault.extend(row.fault);
+        report.gpu.extend(row.gpu);
+        report.traces.extend(row.traces);
     }
     (global.expect("rank 0 assembles the global state"), report)
-}
-
-/// Per-rank instrumentation setup shared by every runner: build the
-/// rank's recorder against the run's shared anchor (the no-op sink when
-/// [`RunConfig::trace`] is off) and install it — together with the run's
-/// metrics registry — into the communicator so the `mpi.*`/pack/unpack
-/// layers record through both.
-pub(crate) fn rank_instruments(
-    cfg: &RunConfig,
-    comm: &Comm,
-    anchor: obs::Anchor,
-    registry: &obs::registry::Metrics,
-) -> obs::Tracer {
-    let tracer = obs::Tracer::enabled(cfg.trace, comm.rank(), anchor);
-    comm.install_tracer(tracer.clone());
-    comm.install_metrics(registry);
-    tracer
-}
-
-/// The per-rank `advect_step_ns{impl,rank}` histogram: wall time per
-/// advection step, observed by every runner's step loop. The off handle
-/// is returned without touching the registry when metrics are disabled,
-/// so unmetered loops never render label strings.
-pub(crate) fn step_histogram(
-    registry: &obs::registry::Metrics,
-    slug: &'static str,
-    rank: usize,
-) -> obs::registry::Histogram {
-    if !registry.is_on() {
-        return obs::registry::Histogram::off();
-    }
-    registry.histogram(
-        "advect_step_ns",
-        "Wall time per advection step, nanoseconds",
-        &[("impl", slug.to_string()), ("rank", rank.to_string())],
-    )
-}
-
-/// The rank's contribution to [`RunReport::traces`]: `Some` only when the
-/// run was traced. Call after all rank-local threads have quiesced.
-pub(crate) fn finish_trace(tracer: &obs::Tracer) -> Option<obs::Trace> {
-    tracer.is_on().then(|| tracer.finish())
 }
 
 /// A rank's local field, allocated and filled from the global initial

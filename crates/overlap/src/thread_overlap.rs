@@ -15,49 +15,30 @@
 //! [`advect_core::field::SharedField`]'s `UnsafeCell` cells, keeping the
 //! overlap sound.
 
-use crate::halo::{exchange_halos_shared, HaloBuffers};
-use crate::runner::{assemble_global, local_initial_field, RunConfig};
+use crate::halo::exchange_halos_shared;
+use crate::runner::{run_ranks, RunConfig, RunReport};
 use advect_core::field::{Field3, Range3, SharedField};
 use advect_core::stencil::{apply_stencil_cells_tiled, copy_region_slab};
 use advect_core::team::{GuidedChunks, ThreadTeam};
+use advect_core::tile::z_cuts;
 use decomp::partition::shell_and_core;
-use decomp::ExchangePlan;
-use simmpi::World;
 
 /// The OpenMP-thread-overlap distributed implementation.
 pub struct ThreadOverlapMpi;
 
 impl ThreadOverlapMpi {
-    /// Run and return the assembled global state (from rank 0).
-    pub fn run(cfg: &RunConfig) -> Field3 {
-        Self::run_with_report(cfg).0
-    }
-
     /// Run, returning the global state plus per-rank substrate statistics.
-    pub fn run_with_report(cfg: &RunConfig) -> (Field3, crate::runner::RunReport) {
-        let decomp = cfg.decomposition();
-        let decomp_ref = &decomp;
-        let anchor = obs::Anchor::now();
-        let metrics = obs::registry::Metrics::enabled(cfg.metrics);
-        let metrics_ref = &metrics;
-        let results = World::run_with_faults(cfg.ntasks, cfg.fault.mpi, move |comm| {
-            let tracer = crate::runner::rank_instruments(cfg, comm, anchor, metrics_ref);
-            let rank = comm.rank();
-            let step_hist = crate::runner::step_histogram(metrics_ref, "thread_overlap", rank);
-            let sub = decomp_ref.subdomains[rank];
-            let mut cur = local_initial_field(cfg, decomp_ref, rank);
-            let mut new = Field3::new(sub.extent.0, sub.extent.1, sub.extent.2, 1);
-            let plan = ExchangePlan::new(sub.extent, 1);
-            let halo_bufs = HaloBuffers::new(&plan, comm);
+    pub fn run_with_report(cfg: &RunConfig) -> (Field3, RunReport) {
+        run_ranks(cfg, "thread_overlap", None, 1, |r| {
+            let mut cur = r.initial_field();
+            let mut new = r.zero_field();
             let team = ThreadTeam::new(cfg.threads);
             let stencil = cfg.problem.stencil();
             let tile = cfg.tile_spec(cur.extents().0);
             let full = cur.interior_range();
             let (core, shell) = shell_and_core(full, 1);
-            let cuts = crate::bulk_sync::z_cuts(sub.extent.2, cfg.threads);
-            comm.barrier();
-            for _ in 0..cfg.steps {
-                let step_t0 = step_hist.start();
+            let cuts = z_cuts(r.sub.extent.2, cfg.threads);
+            r.steps(cfg.steps, || {
                 {
                     let core_planes = (core.z.1 - core.z.0).max(0) as usize;
                     let queue = GuidedChunks::new(0..core_planes, cfg.threads, 1);
@@ -65,17 +46,16 @@ impl ThreadOverlapMpi {
                     let new_shared = SharedField::new(&mut new);
                     let cur_ref = &cur_shared;
                     let new_ref = &new_shared;
-                    let tracer_ref = &tracer;
                     team.parallel(|ctx| {
                         if ctx.is_master() {
                             // Master: communicate, then join the guided loop.
-                            exchange_halos_shared(
-                                cur_ref, &plan, decomp_ref, rank, comm, &halo_bufs,
-                            );
+                            let (plan, bufs) = (&r.plan, &r.halo_bufs);
+                            exchange_halos_shared(cur_ref, plan, r.decomp, r.rank, r.comm, bufs);
                         }
                         {
-                            let _span =
-                                tracer_ref.span(obs::Category::ComputeInterior, "interior.guided");
+                            let _span = r
+                                .tracer
+                                .span(obs::Category::ComputeInterior, "interior.guided");
                             while let Some(chunk) = queue.next_chunk() {
                                 let region = Range3::new(
                                     core.x,
@@ -99,7 +79,7 @@ impl ThreadOverlapMpi {
                 }
                 // Step 3: state copy (the straggler-throttled section:
                 // pure compute, outside the master's comm window).
-                let throttle = comm.throttle_start();
+                let throttle = r.comm.throttle_start();
                 {
                     let src = &new;
                     let slabs = cur.z_slabs_mut(&cuts);
@@ -107,18 +87,9 @@ impl ThreadOverlapMpi {
                         copy_region_slab(src, &mut slab, full);
                     });
                 }
-                comm.throttle_end(throttle);
-                step_hist.observe_since(step_t0);
-            }
-            comm.barrier();
-            (
-                assemble_global(cfg, decomp_ref, comm, &cur),
-                comm.stats(),
-                comm.fault_stats(),
-                None,
-                crate::runner::finish_trace(&tracer),
-            )
-        });
-        crate::runner::collect_report(results, metrics)
+                r.comm.throttle_end(throttle);
+            });
+            cur
+        })
     }
 }

@@ -3,10 +3,12 @@
 //! which any traced run elsewhere in the same process would perturb).
 
 use advect_core::stepper::AdvectionProblem;
-use overlap::{BulkSyncMpi, NonblockingMpi, RunConfig};
+use overlap::{BulkSyncMpi, Impl, RunConfig};
+use simgpu::GpuSpec;
 
 #[test]
 fn untraced_runs_allocate_no_causal_state() {
+    let spec = GpuSpec::tesla_c2050();
     let cfg = RunConfig::new(AdvectionProblem::general_case(12), 3)
         .tasks(4)
         .with_block((8, 8));
@@ -15,10 +17,11 @@ fn untraced_runs_allocate_no_causal_state() {
     // with no trace sink there is no one to hand a causal ID to — the
     // per-channel sequence counters must never be materialized.
     for _ in 0..2 {
-        let (_, report) = BulkSyncMpi::run_with_report(&cfg);
-        assert!(report.traces.is_empty());
-        let (_, report) = NonblockingMpi::run_with_report(&cfg);
-        assert!(report.traces.is_empty());
+        for im in Impl::ALL {
+            let cfg = if im.uses_mpi() { cfg } else { cfg.tasks(1) };
+            let (_, report) = im.run_with_report(&cfg, Some(&spec));
+            assert!(report.traces.is_empty(), "{}", im.slug());
+        }
     }
     assert_eq!(
         simmpi::causal_states_allocated(),

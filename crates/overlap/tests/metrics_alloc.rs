@@ -4,7 +4,7 @@
 //! perturb).
 
 use advect_core::stepper::AdvectionProblem;
-use overlap::{BulkSyncMpi, HybridOverlap, RunConfig};
+use overlap::{BulkSyncMpi, Impl, RunConfig};
 use simgpu::GpuSpec;
 
 #[test]
@@ -16,14 +16,15 @@ fn unmetered_runs_allocate_no_metric_state() {
         .with_block((8, 8))
         .with_thickness(1);
 
-    // Steady state: unmetered runs — CPU-only and hybrid — must not
+    // Steady state: unmetered runs of every implementation must not
     // create a registry or any series cell, warm or cold.
     let baseline = obs::registry::metric_states_allocated();
     for _ in 0..2 {
-        let (_, report) = BulkSyncMpi::run_with_report(&cfg);
-        assert!(!report.metrics.is_on());
-        let (_, report) = HybridOverlap::run_with_report(&cfg, &spec);
-        assert!(!report.metrics.is_on());
+        for im in Impl::ALL {
+            let cfg = if im.uses_mpi() { cfg } else { cfg.tasks(1) };
+            let (_, report) = im.run_with_report(&cfg, Some(&spec));
+            assert!(!report.metrics.is_on(), "{}", im.slug());
+        }
     }
     assert_eq!(
         obs::registry::metric_states_allocated(),

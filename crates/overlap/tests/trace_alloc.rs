@@ -3,7 +3,7 @@
 //! elsewhere in the same process would perturb).
 
 use advect_core::stepper::AdvectionProblem;
-use overlap::{BulkSyncMpi, HybridOverlap, RunConfig};
+use overlap::{BulkSyncMpi, Impl, RunConfig};
 use simgpu::GpuSpec;
 
 #[test]
@@ -15,13 +15,14 @@ fn untraced_runs_allocate_no_trace_buffers() {
         .with_block((8, 8))
         .with_thickness(1);
 
-    // Steady state: untraced runs — CPU-only and hybrid — must not touch
+    // Steady state: untraced runs of every implementation must not touch
     // the trace slab allocator at all, warm or cold.
     for _ in 0..2 {
-        let (_, report) = BulkSyncMpi::run_with_report(&cfg);
-        assert!(report.traces.is_empty());
-        let (_, report) = HybridOverlap::run_with_report(&cfg, &spec);
-        assert!(report.traces.is_empty());
+        for im in Impl::ALL {
+            let cfg = if im.uses_mpi() { cfg } else { cfg.tasks(1) };
+            let (_, report) = im.run_with_report(&cfg, Some(&spec));
+            assert!(report.traces.is_empty(), "{}", im.slug());
+        }
     }
     assert_eq!(
         obs::trace_buffers_allocated(),
