@@ -527,12 +527,6 @@ impl<'a> SharedField<'a> {
         (x + h) as usize + self.sx * ((y + h) as usize + self.sy * (z + h) as usize)
     }
 
-    /// Allocated `(sx, sy)` strides of the wrapped field (including
-    /// halos). The x stride feeds the cache-blocking tile heuristic.
-    pub fn strides(&self) -> (usize, usize) {
-        (self.sx, self.sy)
-    }
-
     /// Write one value at interior-relative coordinates.
     #[inline]
     pub fn write(&self, x: i64, y: i64, z: i64, v: f64) {
@@ -609,9 +603,6 @@ impl<'a> SharedField<'a> {
         }
     }
 }
-
-/// Backwards-compatible alias: the write-only use of [`SharedField`].
-pub type SharedWriter<'a> = SharedField<'a>;
 
 /// A mutable, contiguous z-slab of a [`Field3`], produced by
 /// [`Field3::z_slabs_mut`]. Covers interior z in `[z0, z1)` plus, on the

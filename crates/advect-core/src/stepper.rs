@@ -15,7 +15,7 @@ use crate::analytic::{AnalyticSolution, GaussianPulse};
 use crate::coeffs::{Stencil27, Velocity};
 use crate::field::Field3;
 use crate::norms::Norms;
-use crate::stencil::{apply_stencil_interior, apply_stencil_slab_tiled, copy_region_slab};
+use crate::stencil::{apply_stencil, apply_stencil_region, copy_region_slab};
 use crate::team::ThreadTeam;
 use crate::tile::TileSpec;
 
@@ -154,7 +154,8 @@ impl SerialStepper {
     /// Perform one time step (Steps 1–3).
     pub fn step(&mut self) {
         self.cur.copy_periodic_halo();
-        apply_stencil_interior(&self.cur, &mut self.new, &self.stencil);
+        let region = self.cur.interior_range();
+        apply_stencil_region(&self.cur, &mut self.new, &self.stencil, region);
         self.cur.copy_interior_from(&self.new);
         self.steps_taken += 1;
     }
@@ -312,7 +313,7 @@ impl ThreadedStepper {
             });
             let slabs = self.new.z_slabs_mut(&cuts);
             self.team.parallel_with(slabs, |_ctx, mut slab| {
-                apply_stencil_slab_tiled(cur, &mut slab, stencil, region, tile);
+                apply_stencil(cur, &mut slab, stencil, region, tile);
             });
         }
         // Step 3: copy new state to current state, threaded the same way.

@@ -119,15 +119,19 @@ pub fn parse_tile(v: &str) -> Result<TileSpec, String> {
     }
 }
 
-/// The `ADVECT_TILE=<ty>x<tz>` override, if set.
+/// The `ADVECT_TILE=<ty>x<tz>` override, if set. Read once per process,
+/// like the other `ADVECT_*` knobs.
 ///
 /// # Panics
 ///
 /// On a malformed value — a mistyped knob must fail the run, not
 /// silently measure the default tiles.
 pub(crate) fn env_override() -> Option<TileSpec> {
-    let v = std::env::var("ADVECT_TILE").ok()?;
-    Some(parse_tile(&v).unwrap_or_else(|e| panic!("{e}")))
+    static TILE: std::sync::OnceLock<Option<TileSpec>> = std::sync::OnceLock::new();
+    *TILE.get_or_init(|| {
+        let v = std::env::var("ADVECT_TILE").ok()?;
+        Some(parse_tile(&v).unwrap_or_else(|e| panic!("{e}")))
+    })
 }
 
 /// Evenly split the interior z-extent `nz` into cut points for a team of

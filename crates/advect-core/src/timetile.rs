@@ -45,6 +45,7 @@
 
 use crate::coeffs::Stencil27;
 use crate::field::{Field3, Range3, SharedField};
+use crate::stencil::{accumulate_tap_rows, flat_tap_rows, tap_offsets};
 use crate::sweep::SweepPool;
 use crate::tile::TileSpec;
 
@@ -166,7 +167,7 @@ pub fn advance_pooled(
     let tiles: Vec<Range3> = tile.tiles(region).collect();
     let coef = s.a;
     let (cxs, cys, _) = cur.extents();
-    let cur_offs = crate::stencil::tap_offsets(cxs, cys);
+    let cur_offs = tap_offsets(cxs, cys);
     let shared = SharedField::new(dst);
     pool.for_each_index_with(
         tiles.len(),
@@ -197,7 +198,7 @@ fn fuse_tile(
     let (ox, oy, oz) = (t.x.0 - e0, t.y.0 - e0, t.z.0 - e0);
     let pxs = ((t.x.1 - t.x.0) + 2 * e0) as usize;
     let pys = ((t.y.1 - t.y.0) + 2 * e0) as usize;
-    let scratch_offs = crate::stencil::tap_offsets(pxs, pys);
+    let scratch_offs = tap_offsets(pxs, pys);
     let sidx = |x: i64, y: i64, z: i64| -> usize {
         ((x - ox) + (pxs as i64) * ((y - oy) + (pys as i64) * (z - oz))) as usize
     };
@@ -228,41 +229,17 @@ fn fuse_tile(
                     let d0 = sidx(o.x.0, y, z);
                     &mut dst_buf[d0..d0 + w]
                 };
-                if sub == 0 {
-                    let base = cur.idx(o.x.0, y, z) as i64;
-                    fused_row(dst_row, cur.data(), base, cur_offs, coef);
+                let rows = if sub == 0 {
+                    flat_tap_rows(cur.data(), cur.idx(o.x.0, y, z) as i64, cur_offs, w)
                 } else {
-                    let base = sidx(o.x.0, y, z) as i64;
-                    fused_row(dst_row, src_buf, base, &scratch_offs, coef);
-                }
+                    flat_tap_rows(src_buf, sidx(o.x.0, y, z) as i64, &scratch_offs, w)
+                };
+                accumulate_tap_rows(dst_row, &rows, coef);
             }
         }
         if !last {
             std::mem::swap(&mut src_buf, &mut dst_buf);
         }
-    }
-}
-
-/// One output row of one sub-step: the fixed-order 27-tap accumulation
-/// against a strided source. Routes to the scalar per-point loop under
-/// `--features scalar-kernels`, like every kernel entry point.
-#[inline]
-fn fused_row(dst_row: &mut [f64], src: &[f64], base: i64, offs: &[i64; 27], coef: &[f64; 27]) {
-    let w = dst_row.len();
-    let rows: [&[f64]; 27] = std::array::from_fn(|t| {
-        let s0 = (base + offs[t]) as usize;
-        &src[s0..s0 + w]
-    });
-    if cfg!(feature = "scalar-kernels") {
-        for (x, out) in dst_row.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (t, row) in rows.iter().enumerate() {
-                acc += coef[t] * row[x];
-            }
-            *out = acc;
-        }
-    } else {
-        crate::stencil::accumulate_tap_rows(dst_row, &rows, coef);
     }
 }
 

@@ -1,13 +1,11 @@
 //! Real-computation benches of the stencil kernels: the serial CPU sweep,
-//! the region/slab variants, and the functional GPU kernel at the paper's
+//! the boundary-shell regions, and the functional GPU kernel at the paper's
 //! block shapes (the wall-clock counterpart of Figures 7/8's model sweep).
 
 use advect_core::coeffs::{Stencil27, Velocity};
 use advect_core::field::Field3;
 use advect_core::flops::FLOPS_PER_POINT;
-use advect_core::stencil::{
-    apply_stencil_interior, apply_stencil_region, apply_stencil_region_scalar,
-};
+use advect_core::stencil::{apply_stencil_region, apply_stencil_region_scalar};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use simgpu::kernels::{run_stencil, FieldDims, StencilLaunch};
 use std::hint::black_box;
@@ -29,9 +27,10 @@ fn bench_cpu_stencil(c: &mut Criterion) {
     g.measurement_time(Duration::from_secs(2));
     for n in [32usize, 64] {
         let (src, mut dst, s) = prepared(n);
+        let interior = src.interior_range();
         g.throughput(Throughput::Elements((n as u64).pow(3) * FLOPS_PER_POINT));
         g.bench_function(format!("interior_{n}"), |b| {
-            b.iter(|| apply_stencil_interior(black_box(&src), &mut dst, &s))
+            b.iter(|| apply_stencil_region(black_box(&src), &mut dst, &s, interior))
         });
         let shell = decomp::partition::shell_and_core(src.interior_range(), 1).1;
         g.bench_function(format!("boundary_shell_{n}"), |b| {

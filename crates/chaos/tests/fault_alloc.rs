@@ -5,14 +5,20 @@
 //! `tests/trace_alloc.rs`.
 //!
 //! This lives in its own test binary so no concurrently-running chaos
-//! test can bump the process-global counter mid-measurement.
+//! test can bump the process-global counter mid-measurement; the two
+//! tests below take [`COUNTER`] so they cannot bump it for each other.
 
 use advect_core::stepper::AdvectionProblem;
 use overlap::{Impl, RunConfig};
 use simgpu::GpuSpec;
+use std::sync::Mutex;
+
+/// Held for each measurement of the process-global counter.
+static COUNTER: Mutex<()> = Mutex::new(());
 
 #[test]
 fn fault_off_runs_allocate_no_fault_state() {
+    let _serial = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     let spec = GpuSpec::tesla_c2050();
     for im in Impl::ALL {
         let mut cfg = RunConfig::new(AdvectionProblem::general_case(12), 2)
@@ -38,6 +44,7 @@ fn fault_off_runs_allocate_no_fault_state() {
 fn chaos_runs_do_allocate_fault_state() {
     // Sanity check on the counter itself: with a perturbing plan, each
     // rank's mailbox carries a limbo allocation.
+    let _serial = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = RunConfig::new(AdvectionProblem::general_case(12), 1)
         .tasks(4)
         .with_threads(2)

@@ -9,6 +9,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// Deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so without a cap one hostile line of
+/// `[[[[…` overflows the stack of whichever thread parses it (a run
+/// server's connection handler, say); the documents this workspace
+/// writes nest a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -27,11 +34,13 @@ pub enum Value {
 }
 
 impl Value {
-    /// Parse a JSON document.
+    /// Parse a JSON document. Nesting deeper than 128 arrays/objects is
+    /// an error.
     pub fn parse(text: &str) -> Result<Value, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -110,6 +119,8 @@ impl PartialEq<f64> for Value {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -148,8 +159,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -157,6 +168,20 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
+    }
+
+    /// Parse one array or object, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -359,6 +384,20 @@ mod tests {
         assert!(Value::parse("[1, 2,]").is_err());
         assert!(Value::parse("\"unterminated").is_err());
         assert!(Value::parse("{} trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let doc = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(Value::parse(&doc(MAX_DEPTH)).is_ok());
+        let err = Value::parse(&doc(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Value::parse(&objects).is_err());
     }
 
     #[test]

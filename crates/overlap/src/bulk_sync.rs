@@ -6,7 +6,7 @@
 
 use crate::runner::{run_ranks, RunConfig, RunReport};
 use advect_core::field::Field3;
-use advect_core::stencil::{apply_stencil_slab_tiled, copy_region_slab};
+use advect_core::stencil::{apply_stencil, copy_region_slab};
 use advect_core::team::ThreadTeam;
 use advect_core::tile::z_cuts;
 
@@ -20,6 +20,8 @@ impl BulkSyncMpi {
             let mut cur = r.initial_field();
             let mut new = r.zero_field();
             let team = ThreadTeam::new(cfg.threads);
+            let stencil = cfg.problem.stencil();
+            let tile = cfg.tile_spec(cur.extents().0);
             let cuts = z_cuts(r.sub.extent.2, cfg.threads);
             let region = cur.interior_range();
             r.steps(cfg.steps, || {
@@ -30,11 +32,9 @@ impl BulkSyncMpi {
                 {
                     let _span = r.tracer.span(obs::Category::ComputeInterior, "stencil");
                     let src = &cur;
-                    let stencil = cfg.problem.stencil();
-                    let tile = cfg.tile_spec(cur.extents().0);
                     let slabs = new.z_slabs_mut(&cuts);
                     team.parallel_with(slabs, |_ctx, mut slab| {
-                        apply_stencil_slab_tiled(src, &mut slab, &stencil, region, tile);
+                        apply_stencil(src, &mut slab, &stencil, region, tile);
                     });
                 }
                 // Step 3: copy new state to current state.

@@ -11,7 +11,7 @@
 use crate::gpu_common::DeviceField;
 use crate::runner::{run_ranks, RunConfig, RunReport};
 use advect_core::field::{Field3, SharedField};
-use advect_core::stencil::apply_stencil_shared_tiled;
+use advect_core::stencil::apply_stencil;
 use advect_core::team::ThreadTeam;
 use decomp::partition::BoxPartition;
 use simgpu::{GpuSpec, Stream};
@@ -52,8 +52,8 @@ impl HybridBulkSync {
                     let walls = &part.cpu_walls;
                     team.parallel(|ctx| {
                         for (i, w) in walls.iter().enumerate() {
-                            if i % ctx.num_threads == ctx.tid && !w.is_empty() {
-                                apply_stencil_shared_tiled(src, &writer, &stencil, *w, tile);
+                            if i % ctx.num_threads == ctx.tid {
+                                apply_stencil(src, &writer, &stencil, *w, tile);
                             }
                         }
                     });

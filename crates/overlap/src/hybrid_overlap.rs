@@ -19,7 +19,7 @@
 use crate::gpu_common::DeviceField;
 use crate::runner::{run_ranks, RunConfig, RunReport};
 use advect_core::field::{Field3, SharedField};
-use advect_core::stencil::apply_stencil_cells_tiled;
+use advect_core::stencil::apply_stencil;
 use advect_core::team::ThreadTeam;
 use decomp::partition::{shell_and_core, BoxPartition};
 use simgpu::{GpuSpec, Stream};
@@ -98,10 +98,8 @@ impl HybridOverlap {
                             let _span = tracer.span(obs::Category::ComputeVeneer, "walls.inner");
                             team.parallel(|ctx| {
                                 for (i, w) in walls.iter().enumerate() {
-                                    if i % ctx.num_threads == ctx.tid && !w.is_empty() {
-                                        apply_stencil_cells_tiled(
-                                            cur_ref, writer_ref, &stencil, *w, tile,
-                                        );
+                                    if i % ctx.num_threads == ctx.tid {
+                                        apply_stencil(cur_ref, writer_ref, &stencil, *w, tile);
                                     }
                                 }
                             });
@@ -132,7 +130,7 @@ impl HybridOverlap {
                     team.parallel(|ctx| {
                         for (i, w) in outer_regions.iter().enumerate() {
                             if i % ctx.num_threads == ctx.tid {
-                                apply_stencil_cells_tiled(cur_ref, writer_ref, &stencil, *w, tile);
+                                apply_stencil(cur_ref, writer_ref, &stencil, *w, tile);
                             }
                         }
                     });

@@ -10,7 +10,7 @@
 use crate::halo::{complete_phase, post_phase_recvs, send_phase};
 use crate::runner::{run_ranks, RunConfig, RunReport};
 use advect_core::field::Field3;
-use advect_core::stencil::{apply_stencil_slab_tiled, copy_region_slab};
+use advect_core::stencil::{apply_stencil, copy_region_slab};
 use advect_core::team::ThreadTeam;
 use advect_core::tile::z_cuts;
 use decomp::partition::{shell_and_core, thirds_along_z};
@@ -45,7 +45,7 @@ impl NonblockingMpi {
                         let src = &cur;
                         let slabs = new.z_slabs_mut(&cuts);
                         team.parallel_with(slabs, |_ctx, mut slab| {
-                            apply_stencil_slab_tiled(src, &mut slab, &stencil, *third, tile);
+                            apply_stencil(src, &mut slab, &stencil, *third, tile);
                         });
                     }
                     comm.throttle_end(throttle);
@@ -58,7 +58,7 @@ impl NonblockingMpi {
                     let slabs = new.z_slabs_mut(&cuts);
                     team.parallel_with(slabs, |_ctx, mut slab| {
                         for region in &shell {
-                            apply_stencil_slab_tiled(src, &mut slab, &stencil, *region, tile);
+                            apply_stencil(src, &mut slab, &stencil, *region, tile);
                         }
                     });
                 }

@@ -18,7 +18,7 @@
 use crate::halo::exchange_halos_shared;
 use crate::runner::{run_ranks, RunConfig, RunReport};
 use advect_core::field::{Field3, Range3, SharedField};
-use advect_core::stencil::{apply_stencil_cells_tiled, copy_region_slab};
+use advect_core::stencil::{apply_stencil, copy_region_slab};
 use advect_core::team::{GuidedChunks, ThreadTeam};
 use advect_core::tile::z_cuts;
 use decomp::partition::shell_and_core;
@@ -62,7 +62,7 @@ impl ThreadOverlapMpi {
                                     core.y,
                                     (core.z.0 + chunk.start as i64, core.z.0 + chunk.end as i64),
                                 );
-                                apply_stencil_cells_tiled(cur_ref, new_ref, &stencil, region, tile);
+                                apply_stencil(cur_ref, new_ref, &stencil, region, tile);
                             }
                         }
                         // Communication (master reached here) is complete
@@ -70,9 +70,7 @@ impl ThreadOverlapMpi {
                         ctx.barrier();
                         for (i, region) in shell.iter().enumerate() {
                             if i % ctx.num_threads == ctx.tid {
-                                apply_stencil_cells_tiled(
-                                    cur_ref, new_ref, &stencil, *region, tile,
-                                );
+                                apply_stencil(cur_ref, new_ref, &stencil, *region, tile);
                             }
                         }
                     });

@@ -292,6 +292,24 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_lines_are_rejected_without_overflowing_the_stack() {
+        // A 2 MiB stack is the default for spawned threads, which is
+        // where a connection handler parses its lines; before the depth
+        // cap this input aborted the whole process.
+        let line = "[".repeat(50_000);
+        let handle = std::thread::Builder::new()
+            .stack_size(2 * 1024 * 1024)
+            .spawn(move || {
+                (
+                    figures::json::Value::parse(&line).is_err(),
+                    parse_line(&line).is_err(),
+                )
+            })
+            .unwrap();
+        assert_eq!(handle.join().unwrap(), (true, true));
+    }
+
+    #[test]
     fn malformed_lines_are_rejected() {
         assert!(parse_line("not json").is_err());
         assert!(parse_line("[1,2]").is_err());

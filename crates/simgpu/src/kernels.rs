@@ -274,7 +274,7 @@ mod tests {
     use super::*;
     use advect_core::coeffs::{Stencil27, Velocity};
     use advect_core::field::Field3;
-    use advect_core::stencil::apply_stencil_interior;
+    use advect_core::stencil::apply_stencil_region;
 
     fn device_field_from(f: &Field3) -> (Vec<f64>, FieldDims) {
         let (nx, ny, nz) = f.interior();
@@ -296,7 +296,7 @@ mod tests {
         cur.fill_interior(|x, y, z| ((x * 31 + y * 17 + z * 7) % 13) as f64 * 0.37);
         cur.copy_periodic_halo();
         let mut cpu = Field3::new(9, 8, 7, 1);
-        apply_stencil_interior(&cur, &mut cpu, &s);
+        apply_stencil_region(&cur, &mut cpu, &s, cur.interior_range());
 
         let (src, dims) = device_field_from(&cur);
         for block in [(4, 4), (3, 5), (16, 16), (32, 8)] {
@@ -331,7 +331,7 @@ mod tests {
         cur.fill_interior(|x, y, z| ((x + 2 * y + 3 * z) % 5) as f64);
         cur.copy_periodic_halo();
         let mut cpu = Field3::new(6, 6, 6, 1);
-        apply_stencil_interior(&cur, &mut cpu, &s);
+        apply_stencil_region(&cur, &mut cpu, &s, cur.interior_range());
 
         let dims = FieldDims {
             nx: 6,

@@ -7,8 +7,15 @@
 //! ```text
 //! cargo run --release --example overlap_comparison
 //! ```
+//!
+//! The `state hash` column fingerprints each final state's bits, so the
+//! output of the default build and of the scalar-oracle build
+//! (`--features advect-core/scalar-kernels`) must be byte-identical: a
+//! fast path that drifted from the scalar one changes the hashes even
+//! though each build still matches its own serial stepper.
 
 use advection_overlap::prelude::*;
+use serve::artifact::state_checksum;
 
 fn main() {
     let problem = AdvectionProblem::general_case(16);
@@ -23,8 +30,8 @@ fn main() {
         problem.n
     );
     println!(
-        "{:<6} {:<28} {:>12} {:>10}",
-        "sect.", "implementation", "max|diff|", "verified"
+        "{:<6} {:<28} {:>12} {:>10} {:>18}",
+        "sect.", "implementation", "max|diff|", "verified", "state hash"
     );
     for im in overlap::Impl::ALL {
         let cfg = RunConfig::new(problem, steps)
@@ -35,11 +42,12 @@ fn main() {
         let state = im.run(&cfg, Some(&spec));
         let diff = state.max_abs_diff(reference.state());
         println!(
-            "{:<6} {:<28} {:>12.1e} {:>10}",
+            "{:<6} {:<28} {:>12.1e} {:>10} {:>18}",
             im.section(),
             im.name(),
             diff,
-            if diff == 0.0 { "bit-exact" } else { "FAILED" }
+            if diff == 0.0 { "bit-exact" } else { "FAILED" },
+            format!("{:016x}", state_checksum(&state))
         );
         assert_eq!(diff, 0.0);
     }

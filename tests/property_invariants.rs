@@ -160,7 +160,7 @@ proptest! {
         src.fill_interior(|x, y, z| ((x * 13 + y * 5 + z * 3) % 17) as f64);
         src.copy_periodic_halo();
         let mut full = Field3::new(n, n, n, 1);
-        advect_core::stencil::apply_stencil_interior(&src, &mut full, &s);
+        advect_core::stencil::apply_stencil_region(&src, &mut full, &s, src.interior_range());
         let mut split = Field3::new(n, n, n, 1);
         let n64 = n as i64;
         for r in [
@@ -262,9 +262,26 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Differential tests: the row-vectorized fast path must be *bit-identical*
-// (`max_abs_diff == 0.0`, same backing storage) to the scalar per-point
-// oracle at every stencil entry point, on irregular regions — including
+// (same backing storage, halo included) to the scalar per-point oracle
+// through every source and destination, on irregular regions — including
 // degenerate and empty ones — and non-cubic grids.
+
+/// The region of an `nx × ny × nz` interior spanned by the given bounds,
+/// clamped into the interior; a lower bound at or above its upper bound
+/// yields a degenerate or empty region, which must also agree.
+fn clamped_region(n: (usize, usize, usize), x: (i64, i64), y: (i64, i64), z: (i64, i64)) -> Range3 {
+    let clamp = |(lo, hi): (i64, i64), n: usize| (lo.min(n as i64), hi.min(n as i64));
+    Range3::new(clamp(x, n.0), clamp(y, n.1), clamp(z, n.2))
+}
+
+/// `region` of `src` through the per-point scalar oracle, into a zeroed
+/// field.
+fn scalar_oracle(src: &Field3, s: &Stencil27, region: Range3) -> Field3 {
+    let (nx, ny, nz) = src.interior();
+    let mut oracle = Field3::new(nx, ny, nz, 1);
+    advect_core::stencil::apply_stencil_region_scalar(src, &mut oracle, s, region);
+    oracle
+}
 
 /// A pseudo-random but deterministic field on an `nx × ny × nz` grid.
 fn seeded_field(nx: usize, ny: usize, nz: usize, seed: u64) -> Field3 {
@@ -283,90 +300,96 @@ proptest! {
         x0 in 0i64..6, x1 in 0i64..12,
         y0 in 0i64..6, y1 in 0i64..12,
         z0 in 0i64..6, z1 in 0i64..12,
+        ty in 1usize..12, tz in 1usize..12,
         seed in 0u64..1000,
     ) {
-        use advect_core::stencil::{apply_stencil_region, apply_stencil_region_scalar};
-        // Clamping keeps the region inside the interior; x0 >= x1 (etc.)
-        // yields degenerate or empty regions, which must also agree.
-        let region = Range3::new(
-            (x0.min(nx as i64), x1.min(nx as i64)),
-            (y0.min(ny as i64), y1.min(ny as i64)),
-            (z0.min(nz as i64), z1.min(nz as i64)),
-        );
+        use advect_core::stencil::{apply_stencil, apply_stencil_region, apply_stencil_region_pooled};
+        let region = clamped_region((nx, ny, nz), (x0, x1), (y0, y1), (z0, z1));
+        let tile = advect_core::tile::TileSpec::new(ty, tz);
         let s = Stencil27::new(Velocity::new(0.8, -0.3, 0.5), 0.7);
         let src = seeded_field(nx, ny, nz, seed);
-        let mut fast = Field3::new(nx, ny, nz, 1);
-        let mut scalar = Field3::new(nx, ny, nz, 1);
-        apply_stencil_region(&src, &mut fast, &s, region);
-        apply_stencil_region_scalar(&src, &mut scalar, &s, region);
-        prop_assert_eq!(fast.max_abs_diff(&scalar), 0.0);
-        prop_assert_eq!(fast.data(), scalar.data());
+        for region in [region, src.interior_range()] {
+            let scalar = scalar_oracle(&src, &s, region);
+            let mut host = Field3::new(nx, ny, nz, 1);
+            apply_stencil_region(&src, &mut host, &s, region);
+            let mut tiled = Field3::new(nx, ny, nz, 1);
+            apply_stencil(&src, &mut tiled, &s, region, tile);
+            let mut fast = vec![("host", host), ("tiled", tiled)];
+            for workers in [1, 2, 7] {
+                let mut pooled = Field3::new(nx, ny, nz, 1);
+                let pool = advect_core::sweep::SweepPool::new(workers);
+                apply_stencil_region_pooled(&src, &mut pooled, &s, region, tile, &pool);
+                fast.push(("pooled", pooled));
+            }
+            for (path, got) in &fast {
+                prop_assert_eq!(got.max_abs_diff(&scalar), 0.0, "{} {:?}", path, region);
+                prop_assert_eq!(got.data(), scalar.data(), "{} {:?}", path, region);
+            }
+        }
     }
 
     #[test]
     fn slab_fast_path_is_bit_identical_to_scalar(
         nx in 3usize..10, ny in 3usize..10, nz in 4usize..10,
         cut in 1i64..5,
+        x0 in 0i64..6, x1 in 0i64..12,
+        y0 in 0i64..6, y1 in 0i64..12,
+        z0 in 0i64..6, z1 in 0i64..12,
+        ty in 1usize..12, tz in 1usize..12,
         seed in 0u64..1000,
     ) {
-        use advect_core::stencil::{apply_stencil_slab, apply_stencil_slab_scalar};
+        use advect_core::stencil::apply_stencil;
         prop_assume!(cut < nz as i64);
+        // A cut outside a random region's z-range leaves a slab with
+        // nothing to write.
+        let region = clamped_region((nx, ny, nz), (x0, x1), (y0, y1), (z0, z1));
+        let tile = advect_core::tile::TileSpec::new(ty, tz);
         let s = Stencil27::new(Velocity::new(-0.6, 0.9, 0.2), 0.4);
         let src = seeded_field(nx, ny, nz, seed);
-        let region = src.interior_range();
-        let mut fast = Field3::new(nx, ny, nz, 1);
-        for slab in &mut fast.z_slabs_mut(&[cut]) {
-            apply_stencil_slab(&src, slab, &s, region);
+        for region in [src.interior_range(), region] {
+            let scalar = scalar_oracle(&src, &s, region);
+            let mut fast = Field3::new(nx, ny, nz, 1);
+            for slab in &mut fast.z_slabs_mut(&[cut]) {
+                apply_stencil(&src, slab, &s, region, tile);
+            }
+            prop_assert_eq!(fast.max_abs_diff(&scalar), 0.0, "{:?} cut {}", region, cut);
+            prop_assert_eq!(fast.data(), scalar.data(), "{:?} cut {}", region, cut);
         }
-        let mut scalar = Field3::new(nx, ny, nz, 1);
-        for slab in &mut scalar.z_slabs_mut(&[cut]) {
-            apply_stencil_slab_scalar(&src, slab, &s, region);
-        }
-        prop_assert_eq!(fast.max_abs_diff(&scalar), 0.0);
     }
 
     #[test]
     fn shared_and_cells_fast_paths_are_bit_identical_to_scalar(
         nx in 3usize..10, ny in 3usize..10, nz in 3usize..10,
         x0 in 0i64..4, w in 0i64..10,
+        y0 in 0i64..6, y1 in 0i64..12,
+        z0 in 0i64..6, z1 in 0i64..12,
+        ty in 1usize..12, tz in 1usize..12,
         seed in 0u64..1000,
     ) {
         use advect_core::field::SharedField;
-        use advect_core::stencil::{
-            apply_stencil_cells, apply_stencil_cells_scalar, apply_stencil_shared,
-            apply_stencil_shared_scalar,
-        };
-        // An x-irregular region (possibly empty when w == 0).
-        let region = Range3::new(
-            (x0.min(nx as i64), (x0 + w).min(nx as i64)),
-            (0, ny as i64),
-            (0, nz as i64),
-        );
+        use advect_core::stencil::apply_stencil;
+        // An x-irregular region (possibly empty when w == 0), then the
+        // same x-range irregular along y and z as well.
+        let n = (nx, ny, nz);
+        let x_only = clamped_region(n, (x0, x0 + w), (0, ny as i64), (0, nz as i64));
+        let region = clamped_region(n, (x0, x0 + w), (y0, y1), (z0, z1));
+        let tile = advect_core::tile::TileSpec::new(ty, tz);
         let s = Stencil27::new(Velocity::new(0.3, 0.3, -0.9), 1.1);
-        let mut src = seeded_field(nx, ny, nz, seed);
-        let mut out = [(); 4].map(|()| Field3::new(nx, ny, nz, 1));
-        {
-            let sh = SharedField::new(&mut out[0]);
-            apply_stencil_shared(&src, &sh, &s, region);
+        let src = seeded_field(nx, ny, nz, seed);
+        for region in [x_only, region] {
+            let scalar = scalar_oracle(&src, &s, region);
+            // Shared destination, plain source.
+            let mut shared = Field3::new(nx, ny, nz, 1);
+            apply_stencil(&src, &SharedField::new(&mut shared), &s, region, tile);
+            // Shared source and shared destination.
+            let (mut src_copy, mut cells) = (src.clone(), Field3::new(nx, ny, nz, 1));
+            let src_cells = SharedField::new(&mut src_copy);
+            apply_stencil(&src_cells, &SharedField::new(&mut cells), &s, region, tile);
+            for (path, got) in [("shared", &shared), ("cells", &cells)] {
+                prop_assert_eq!(got.max_abs_diff(&scalar), 0.0, "{} {:?}", path, region);
+                prop_assert_eq!(got.data(), scalar.data(), "{} {:?}", path, region);
+            }
         }
-        {
-            let sh = SharedField::new(&mut out[1]);
-            apply_stencil_shared_scalar(&src, &sh, &s, region);
-        }
-        {
-            let mut src2 = src.clone();
-            let ssh = SharedField::new(&mut src2);
-            let dsh = SharedField::new(&mut out[2]);
-            apply_stencil_cells(&ssh, &dsh, &s, region);
-        }
-        {
-            let ssh = SharedField::new(&mut src);
-            let dsh = SharedField::new(&mut out[3]);
-            apply_stencil_cells_scalar(&ssh, &dsh, &s, region);
-        }
-        prop_assert_eq!(out[0].max_abs_diff(&out[1]), 0.0);
-        prop_assert_eq!(out[0].max_abs_diff(&out[2]), 0.0);
-        prop_assert_eq!(out[0].max_abs_diff(&out[3]), 0.0);
     }
 
     #[test]
