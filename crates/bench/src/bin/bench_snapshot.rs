@@ -59,7 +59,7 @@
 //!   event log), divided by the committed pre-recorder baseline
 //!   (`BENCH_9.json` predates the flight recorder) — same orientation
 //!   and same advisory status as the other `*_off_overhead_ratio` keys;
-//!   the `recorder_alloc` zero-allocation test is the enforced
+//!   the `instruments_off` zero-allocation test is the enforced
 //!   contract;
 //! * wall-clock seconds for the `figures --report` claim evaluation.
 //!
@@ -173,7 +173,7 @@ fn repo_root() -> &'static std::path::Path {
 fn committed_f64(file: &str, key: &str) -> f64 {
     std::fs::read_to_string(repo_root().join(file))
         .ok()
-        .and_then(|text| figures::json::Value::parse(&text).ok())
+        .and_then(|text| obs::json::Value::parse(&text).ok())
         .and_then(|v| v[key].as_f64())
         .unwrap_or(0.0)
 }
@@ -544,7 +544,7 @@ fn main() {
     // baseline. BENCH_9's serve_rps_t2 was measured before the recorder
     // existed, so anything the disabled hooks cost shows up here —
     // modulo cross-epoch host drift, which is why the key is advisory
-    // and the recorder_alloc test is the enforced contract.
+    // and the instruments_off test is the enforced contract.
     let recorder_off_overhead = {
         let (rps_off, _) = serve_sweep(2, true);
         let baseline = committed_f64("BENCH_9.json", "serve_rps_t2");

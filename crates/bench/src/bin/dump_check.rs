@@ -13,7 +13,7 @@
 //! inducing anomalies, so "no bundles" means the trigger never fired.
 
 use bench::validate_chrome_trace;
-use figures::json::Value;
+use obs::json::Value;
 
 fn check_bundle(path: &std::path::Path) -> Result<String, String> {
     let body = std::fs::read_to_string(path).map_err(|e| format!("read: {e}"))?;

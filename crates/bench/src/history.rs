@@ -5,7 +5,7 @@
 //! for the `bench_history` regression dashboard (sparkline table plus
 //! per-metric deltas between the two most recent snapshots).
 
-use figures::json::Value;
+use obs::json::Value;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -129,7 +129,7 @@ pub struct History {
 /// construction measured in different host scheduler epochs, and the
 /// exchange bench swings far more than 10% between epochs — the
 /// *enforced* off-path contract is the deterministic zero-allocation
-/// suite (`trace_alloc`/`fault_alloc`/`metrics_alloc`/`causal_alloc`).
+/// test (`tests/instruments_off.rs`).
 pub const RATIO_FLOOR: f64 = 0.90;
 
 /// One gate comparison from [`History::check`].
@@ -572,13 +572,13 @@ impl History {
             out.push_str(&format!(
                 "    {{\"index\": {}, \"path\": {}, \"values\": {{",
                 s.index,
-                figures::json::escape(&s.path.display().to_string())
+                obs::json::escape(&s.path.display().to_string())
             ));
             for (j, (k, v)) in s.values.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&format!("{}: {}", figures::json::escape(k), number(*v)));
+                out.push_str(&format!("{}: {}", obs::json::escape(k), number(*v)));
             }
             out.push_str("}}");
             out.push_str(if i + 1 < self.snapshots.len() {
@@ -610,7 +610,7 @@ impl History {
             };
             out.push_str(&format!(
                 "    {}: {{\"latest\": {}, \"delta_pct\": {}, \"comparable\": {comparable}}}",
-                figures::json::escape(key),
+                obs::json::escape(key),
                 number(latest),
                 number(delta_pct)
             ));

@@ -1,10 +1,8 @@
 //! Bench-suite support: the Criterion benches live in `benches/`; this
 //! library hosts the Chrome-trace validator shared by the `trace_run`
-//! binary and the CI trace smoke job. It lives here (not in `obs`) so
-//! the tracing crate stays dependency-free — the validator reuses the
-//! offline JSON parser from `figures::json`.
+//! binary and the CI trace smoke job, built on the `obs::json` parser.
 
-use figures::json::Value;
+use obs::json::Value;
 use std::collections::BTreeSet;
 
 pub mod divergence;

@@ -5,7 +5,7 @@
 //! begin/end pairs.
 
 use bench::validate_chrome_trace;
-use figures::json::Value;
+use obs::json::Value;
 use overlap::RunParams;
 use serve::server::{Server, ServerConfig};
 use serve::Request;

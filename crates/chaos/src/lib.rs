@@ -146,7 +146,7 @@ impl SoakReport {
             if i > 0 {
                 s.push_str(", ");
             }
-            s.push_str(&format!("\"{}\"", m.replace('"', "'")));
+            s.push_str(&obs::json::escape(m));
         }
         s.push_str("],\n");
         s.push_str("  \"per_impl\": {\n");
@@ -351,10 +351,16 @@ mod tests {
         }
         assert!(md.contains("bit-identical"));
         assert!(md.contains("stall p50/p95/p99"), "{md}");
-        // A mismatch flips ok() and shows up in both renderings.
-        report.mismatches.push("synthetic".to_string());
+        assert!(obs::json::Value::parse(&json).is_ok(), "{json}");
+        // A mismatch flips ok() and shows up in both renderings, its
+        // text intact through the JSON escaper.
+        let mismatch = "impl \"x\" at C:\\cell\nstep 2";
+        report.mismatches.push(mismatch.to_string());
         assert!(!report.ok());
-        assert!(report.to_json().contains("\"ok\": false"));
+        let json = report.to_json();
+        assert!(json.contains("\"ok\": false"));
+        let doc = obs::json::Value::parse(&json).expect("soak report parses");
+        assert_eq!(doc["mismatches"][0], mismatch);
         assert!(report.to_markdown().contains("DIVERGED"));
     }
 }

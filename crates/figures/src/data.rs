@@ -1,6 +1,6 @@
 //! Structured figure data with text and JSON rendering.
 
-use crate::json;
+use obs::json;
 
 /// One plotted series.
 #[derive(Debug, Clone)]
@@ -186,7 +186,7 @@ mod tests {
     #[test]
     fn json_round_trips_structure() {
         let j = sample().to_json();
-        let v = crate::json::Value::parse(&j).unwrap();
+        let v = json::Value::parse(&j).unwrap();
         assert_eq!(v["id"], "figXX");
         assert_eq!(v["series"][0]["points"][1][1], 3.0);
         assert_eq!(v["notes"][0], "hello");

@@ -22,13 +22,14 @@ pub mod cpu_figs;
 pub mod data;
 pub mod extensions;
 pub mod gpu_figs;
-pub mod json;
 pub mod loc;
 pub mod plot;
 pub mod report;
 pub mod tables;
 
 pub use data::{FigureData, Series};
+/// The workspace JSON module, re-exported under its historical path.
+pub use obs::json;
 pub use plot::{render_plot, PlotOptions};
 
 /// All regenerable figures, in paper order.
@@ -97,7 +98,7 @@ mod tests {
         for f in all_figures() {
             assert!(!f.render_text().is_empty());
             assert!(!f.render_csv().is_empty());
-            assert!(json::Value::parse(&f.to_json()).is_ok());
+            assert!(obs::json::Value::parse(&f.to_json()).is_ok());
         }
     }
 }

@@ -863,5 +863,6 @@ mod tests {
         let json = b.render_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"blame_ns\""));
+        assert!(crate::json::Value::parse(&json).is_ok(), "{json}");
     }
 }

@@ -22,6 +22,7 @@
 //! into the run. Each stored run gets its own process-id block so causal
 //! matching and track timestamps from different runs never collide.
 
+use crate::json;
 use crate::recorder::StoredRun;
 use crate::{causal, Axis, Trace};
 
@@ -42,20 +43,6 @@ pub const STITCH_FLOW_BASE: u64 = 1 << 32;
 
 /// Flow-id block size reserved per stored run for its causal edges.
 const RUN_FLOW_STRIDE: u64 = 1_000_000;
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn fmt_us(us: f64) -> String {
     // Chrome-trace timestamps are microseconds; three decimals keeps
@@ -175,8 +162,8 @@ fn serialise(mut events: Vec<Event>, meta: Vec<String>) -> String {
     let mut lines: Vec<String> = meta;
     lines.extend(events.iter().map(|e| match e.ph {
         "s" => format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"s\",\"id\":{},\"pid\":{},\"tid\":{},\"ts\":{}}}",
-            escape(&e.name),
+            "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"s\",\"id\":{},\"pid\":{},\"tid\":{},\"ts\":{}}}",
+            json::escape(&e.name),
             e.cat,
             e.id,
             e.pid,
@@ -184,8 +171,8 @@ fn serialise(mut events: Vec<Event>, meta: Vec<String>) -> String {
             fmt_us(e.ts_us)
         ),
         "f" => format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{},\"pid\":{},\"tid\":{},\"ts\":{}}}",
-            escape(&e.name),
+            "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{},\"pid\":{},\"tid\":{},\"ts\":{}}}",
+            json::escape(&e.name),
             e.cat,
             e.id,
             e.pid,
@@ -193,8 +180,8 @@ fn serialise(mut events: Vec<Event>, meta: Vec<String>) -> String {
             fmt_us(e.ts_us)
         ),
         _ => format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{}}}",
-            escape(&e.name),
+            "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{}}}",
+            json::escape(&e.name),
             e.cat,
             e.pid,
             e.tid,
@@ -214,8 +201,8 @@ fn serialise(mut events: Vec<Event>, meta: Vec<String>) -> String {
 
 fn process_name(pid: u64, name: &str) -> String {
     format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\"{}\"}}}}",
-        escape(name)
+        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":{}}}}}",
+        json::escape(name)
     )
 }
 
@@ -361,6 +348,7 @@ mod tests {
             dropped: 0,
         };
         let json = chrome_trace(&[t]);
+        assert!(json::Value::parse(&json).is_ok(), "{json}");
         assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(json.contains("\"cat\":\"mpi.send\""));
         assert!(json.contains("\"cat\":\"pcie.h2d\""));
@@ -461,6 +449,7 @@ mod tests {
             }],
         };
         let json = chrome_trace_stitched(&service, &[run]);
+        assert!(json::Value::parse(&json).is_ok(), "{json}");
         assert!(json.contains("service (requests)"));
         assert!(json.contains("\"name\":\"req 7\""));
         assert!(json.contains("req 7 rank 0 (wall)"));
@@ -502,11 +491,5 @@ mod tests {
         assert!(json.contains("\"pid\":20000"));
         assert!(json.contains("req 1 rank 0 (wall)"));
         assert!(json.contains("req 2 rank 0 (wall)"));
-    }
-
-    #[test]
-    fn escape_handles_quotes_and_controls() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 }

@@ -378,6 +378,7 @@ mod tests {
         assert!(md.contains("Ranking agreement: 1.000"));
         let json = rep.render_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
+        assert!(crate::json::Value::parse(&json).is_ok(), "{json}");
         assert!(json.contains("\"ranking_agreement\":1.000000"));
     }
 }

@@ -14,8 +14,7 @@
 //!   worker threads, the communicating master thread, and the device
 //!   simulator can all record into the same rank's stream concurrently.
 //!   A disabled tracer ([`Tracer::off`]) is a `None` and records nothing —
-//!   no buffer is ever allocated, asserted by tests through
-//!   [`trace_buffers_allocated`].
+//!   no buffer is ever allocated.
 //! * [`Span`] — one operation with **dual timestamps**: wall-clock
 //!   nanoseconds (measured against a shared [`Anchor`]) for spans recorded
 //!   by real threads, or the simulator's virtual clock for spans bridged
@@ -33,17 +32,30 @@
 //! * [`registry`] — the runtime metrics registry: lock-free counters,
 //!   gauges, and log-linear latency histograms with Prometheus-text and
 //!   JSON exporters, following the same zero-cost-off contract as the
-//!   tracer (proven by [`registry::metric_states_allocated`]).
+//!   tracer.
 //! * [`critical`] — critical-path extraction: charges every instant of a
 //!   trace to its most-binding span and reports the per-category
 //!   attribution plus the slack (fully hidden) spans, turning the
 //!   paper's "off the critical path" claim into a checkable table.
+//! * [`json`] — the workspace's one JSON module: the only string
+//!   escaper, the number formatter and a depth-capped parser.
+//! * [`recorder`] — [`recorder::Ring`], the one fixed-capacity overwrite
+//!   ring (request events, stored run traces and the run server's log
+//!   lines all live in one).
+//!
+//! Every instrument layer — trace, causal stamping, metrics, faults and
+//! the flight recorder — is free when off: its disabled handle is a
+//! `None` that allocates nothing. Each layer counts its state
+//! allocations in one process-wide ledger ([`note_state_allocated`] /
+//! [`states_allocated`], keyed by [`Layer`]), so one test can prove that
+//! an off layer allocated nothing while the others ran.
 
 pub mod breakdown;
 pub mod causal;
 pub mod chrome;
 pub mod critical;
 pub mod divergence;
+pub mod json;
 pub mod metrics;
 pub mod recorder;
 pub mod registry;
@@ -64,15 +76,48 @@ pub const NO_SEQ: u64 = u64::MAX;
 /// Sentinel for a span with no channel peer rank.
 pub const NO_PEER: u32 = u32::MAX;
 
-/// Trace slabs allocated process-wide since start. Steady-state tests
-/// assert this stays flat while tracing is off and grows only at
-/// per-rank tracer construction while it is on (the `CommStats`
-/// buffers-allocated pattern, applied to the tracing layer itself).
-static TRACE_BUFFERS_ALLOCATED: AtomicU64 = AtomicU64::new(0);
+/// An instrument layer whose state allocations the ledger counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Layer {
+    /// Per-rank trace slabs ([`Tracer::on`]).
+    Trace,
+    /// Per-mailbox causal sequence tables (`simmpi`, traced sends only).
+    Causal,
+    /// Metric registries and registered series ([`registry::Metrics`]).
+    Metrics,
+    /// Per-mailbox fault limbo states (`simmpi`, perturbing plans only).
+    Fault,
+    /// Flight-recorder rings ([`recorder::Ring`]).
+    Recorder,
+}
 
-/// Number of trace slabs ever allocated by [`Tracer::on`].
-pub fn trace_buffers_allocated() -> u64 {
-    TRACE_BUFFERS_ALLOCATED.load(Ordering::Relaxed)
+impl Layer {
+    /// All layers, in ledger order.
+    pub const ALL: [Layer; 5] = [
+        Layer::Trace,
+        Layer::Causal,
+        Layer::Metrics,
+        Layer::Fault,
+        Layer::Recorder,
+    ];
+}
+
+/// State allocations per [`Layer`], process-wide since start. A layer
+/// that is off must leave its entry flat; each bumps it once per state
+/// it constructs (the `CommStats` buffers-allocated pattern, applied to
+/// the instruments themselves). `Relaxed` throughout: an entry is a
+/// statistic that publishes no other data, and tests read it after
+/// joining the threads that bumped it, which orders the reads.
+static ALLOCATED: [AtomicU64; 5] = [const { AtomicU64::new(0) }; 5];
+
+/// Count one state allocation of `layer`.
+pub fn note_state_allocated(layer: Layer) {
+    ALLOCATED[layer as usize].fetch_add(1, Ordering::Relaxed);
+}
+
+/// Number of `layer` states ever allocated in this process.
+pub fn states_allocated(layer: Layer) -> u64 {
+    ALLOCATED[layer as usize].load(Ordering::Relaxed)
 }
 
 /// The span taxonomy shared by every producer (simmpi, simgpu, the
@@ -443,7 +488,7 @@ impl Tracer {
 
     /// An enabled tracer with an explicit span capacity.
     pub fn with_capacity(rank: usize, anchor: Anchor, capacity: usize) -> Self {
-        TRACE_BUFFERS_ALLOCATED.fetch_add(1, Ordering::Relaxed);
+        note_state_allocated(Layer::Trace);
         let slots: Vec<UnsafeCell<Span>> = (0..capacity.max(1))
             .map(|_| UnsafeCell::new(Span::default()))
             .collect();
@@ -631,8 +676,9 @@ pub fn thread_slot() -> u32 {
 mod tests {
     use super::*;
 
-    /// Serialises tests that assert on the process-wide slab counter
-    /// (they would race with each other under the parallel test runner).
+    /// Serialises tests that assert on the process-wide trace ledger
+    /// entry (they would race with each other under the parallel test
+    /// runner).
     fn counter_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -641,7 +687,7 @@ mod tests {
     #[test]
     fn off_tracer_records_and_allocates_nothing() {
         let _serial = counter_lock();
-        let before = trace_buffers_allocated();
+        let before = states_allocated(Layer::Trace);
         let t = Tracer::off();
         {
             let _g = t.span(Category::MpiSend, "s");
@@ -650,18 +696,18 @@ mod tests {
         t.record_virtual(Category::PcieH2d, "h", 0, 0.0, 1.0);
         assert!(!t.is_on());
         assert!(t.finish().spans.is_empty());
-        assert_eq!(trace_buffers_allocated(), before);
+        assert_eq!(states_allocated(Layer::Trace), before);
     }
 
     #[test]
     fn on_tracer_allocates_exactly_one_slab() {
         let _serial = counter_lock();
-        let before = trace_buffers_allocated();
+        let before = states_allocated(Layer::Trace);
         let t = Tracer::on(3, Anchor::now());
         for _ in 0..100 {
             let _g = t.span(Category::ComputeInterior, "c");
         }
-        assert_eq!(trace_buffers_allocated(), before + 1);
+        assert_eq!(states_allocated(Layer::Trace), before + 1);
         let trace = t.finish();
         assert_eq!(trace.rank, 3);
         assert_eq!(trace.spans.len(), 100);

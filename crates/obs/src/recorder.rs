@@ -5,15 +5,16 @@
 //! and the last few run traces, so an anomaly (deadline miss, rejection
 //! burst, straggler flag, SLO burn) can dump a self-contained bundle
 //! without having had tracing "turned on" beforehand. This module is the
-//! service-agnostic substrate: a generic overwrite ring for small `Copy`
-//! records and a trace ring for whole [`Trace`] sets. The request
-//! lifecycle schema on top lives in `serve::reqtrace`.
+//! service-agnostic substrate: [`Ring`], the one generic overwrite ring,
+//! holding request events, whole traced runs ([`StoredRun`]) and the run
+//! server's log lines alike. The request lifecycle schema on top lives
+//! in `serve::reqtrace`.
 //!
 //! The zero-cost-off contract matches the tracing / metrics / fault /
 //! causal layers: a disabled ring is `None` inside and every operation
-//! returns immediately; [`recorder_states_allocated`] counts ring-state
-//! constructions process-wide so a test can prove the off path allocates
-//! nothing.
+//! returns immediately; each ring-state construction bumps the
+//! [`Layer::Recorder`] ledger entry ([`crate::states_allocated`]) so a
+//! test can prove the off path allocates nothing.
 //!
 //! The event ring is overwrite-on-wrap with a lock-free slot claim: a
 //! writer claims a global index with one `fetch_add` and writes the slot
@@ -23,18 +24,9 @@
 //! bit-identical window regardless of how often the ring has wrapped,
 //! which is what the wraparound-determinism test pins down.
 
-use crate::Trace;
+use crate::{note_state_allocated, Layer, Trace};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-static RECORDER_STATES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of recorder ring states ever constructed. A
-/// disabled ring never bumps this; the `recorder_alloc` test asserts the
-/// count stays flat across a server lifetime with the recorder off.
-pub fn recorder_states_allocated() -> u64 {
-    RECORDER_STATES_ALLOCATED.load(Ordering::SeqCst)
-}
 
 struct Slot<T> {
     /// 1-based global sequence of the value held, 0 = never written.
@@ -47,12 +39,15 @@ struct RingInner<T> {
     slots: Box<[Mutex<Slot<T>>]>,
 }
 
-/// A fixed-capacity overwrite ring of small `Copy` records.
-pub struct Ring<T: Copy + Default> {
+/// A fixed-capacity overwrite ring. Pushing moves the value in and
+/// [`Ring::snapshot`] clones the window out, so large records (a stored
+/// run's traces) should only be built once [`Ring::is_on`] says they
+/// will be kept.
+pub struct Ring<T: Clone + Default> {
     inner: Option<Arc<RingInner<T>>>,
 }
 
-impl<T: Copy + Default> Clone for Ring<T> {
+impl<T: Clone + Default> Clone for Ring<T> {
     fn clone(&self) -> Self {
         Ring {
             inner: self.inner.clone(),
@@ -60,7 +55,7 @@ impl<T: Copy + Default> Clone for Ring<T> {
     }
 }
 
-impl<T: Copy + Default> Ring<T> {
+impl<T: Clone + Default> Ring<T> {
     /// A disabled ring: every operation is a no-op, nothing allocated.
     pub const fn off() -> Self {
         Ring { inner: None }
@@ -72,7 +67,7 @@ impl<T: Copy + Default> Ring<T> {
         if capacity == 0 {
             return Ring::off();
         }
-        RECORDER_STATES_ALLOCATED.fetch_add(1, Ordering::SeqCst);
+        note_state_allocated(Layer::Recorder);
         let slots: Box<[Mutex<Slot<T>>]> = (0..capacity)
             .map(|_| {
                 Mutex::new(Slot {
@@ -135,7 +130,7 @@ impl<T: Copy + Default> Ring<T> {
         for i in lo..next {
             let slot = inner.slots[(i % cap) as usize].lock().unwrap();
             if slot.seq == i + 1 {
-                out.push(slot.value);
+                out.push(slot.value.clone());
             }
         }
         out
@@ -144,7 +139,7 @@ impl<T: Copy + Default> Ring<T> {
 
 /// One executed run kept for stitching: which request ran it, where its
 /// `serve.execute` span sits on the service track, and the run's traces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StoredRun {
     /// Request id that executed the run.
     pub request_id: u64,
@@ -156,68 +151,6 @@ pub struct StoredRun {
     pub exec_start_ns: u64,
     /// The run's per-rank traces (the run's own anchor, ~0-based).
     pub traces: Vec<Trace>,
-}
-
-struct TraceSlots {
-    entries: Vec<Option<StoredRun>>,
-    next: usize,
-}
-
-/// A small ring of the last N traced runs. Storing clones the traces, so
-/// callers on the hot path should check [`TraceRing::is_on`] before
-/// building a [`StoredRun`]; a disabled ring stores nothing.
-#[derive(Clone)]
-pub struct TraceRing {
-    inner: Option<Arc<Mutex<TraceSlots>>>,
-}
-
-impl TraceRing {
-    /// A disabled trace ring.
-    pub const fn off() -> Self {
-        TraceRing { inner: None }
-    }
-
-    /// An enabled ring keeping the `capacity` most recent traced runs.
-    pub fn with_capacity(capacity: usize) -> Self {
-        if capacity == 0 {
-            return TraceRing::off();
-        }
-        RECORDER_STATES_ALLOCATED.fetch_add(1, Ordering::SeqCst);
-        TraceRing {
-            inner: Some(Arc::new(Mutex::new(TraceSlots {
-                entries: vec![None; capacity],
-                next: 0,
-            }))),
-        }
-    }
-
-    /// Whether the ring stores anything.
-    pub fn is_on(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Keep one traced run, evicting the oldest once full.
-    pub fn store(&self, run: StoredRun) {
-        let Some(inner) = &self.inner else { return };
-        let mut slots = inner.lock().unwrap();
-        let cap = slots.entries.len();
-        let at = slots.next % cap;
-        slots.entries[at] = Some(run);
-        slots.next += 1;
-    }
-
-    /// Stored runs, oldest to newest.
-    pub fn snapshot(&self) -> Vec<StoredRun> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
-        let slots = inner.lock().unwrap();
-        let cap = slots.entries.len();
-        let lo = slots.next.saturating_sub(cap);
-        (lo..slots.next)
-            .filter_map(|i| slots.entries[i % cap].clone())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -233,13 +166,8 @@ mod tests {
         assert_eq!(r.capacity(), 0);
         assert_eq!(r.pushed(), 0);
         assert!(r.snapshot().is_empty());
-        let t = TraceRing::off();
-        t.store(StoredRun {
-            request_id: 0,
-            exec_tid: 0,
-            exec_start_ns: 0,
-            traces: Vec::new(),
-        });
+        let t: Ring<StoredRun> = Ring::off();
+        t.push(StoredRun::default());
         assert!(t.snapshot().is_empty());
         assert_eq!(Ring::<u64>::with_capacity(0).capacity(), 0);
     }
@@ -303,10 +231,10 @@ mod tests {
     }
 
     #[test]
-    fn trace_ring_evicts_oldest() {
-        let t = TraceRing::with_capacity(2);
+    fn stored_runs_evict_oldest() {
+        let t: Ring<StoredRun> = Ring::with_capacity(2);
         for id in 0..3 {
-            t.store(StoredRun {
+            t.push(StoredRun {
                 request_id: id,
                 exec_tid: 1,
                 exec_start_ns: id * 100,
@@ -326,9 +254,9 @@ mod tests {
 
     #[test]
     fn construction_bumps_the_state_counter() {
-        let before = recorder_states_allocated();
+        let before = crate::states_allocated(Layer::Recorder);
         let _r: Ring<u64> = Ring::with_capacity(2);
-        let _t = TraceRing::with_capacity(2);
-        assert!(recorder_states_allocated() >= before + 2);
+        let _t: Ring<StoredRun> = Ring::with_capacity(2);
+        assert!(crate::states_allocated(Layer::Recorder) >= before + 2);
     }
 }

@@ -8,10 +8,10 @@
 //!   it hands out ([`Counter`], [`Gauge`], [`Histogram`]) is an
 //!   `Option<Arc<..>>` whose `None` arm makes `inc`/`set`/`observe` a
 //!   single branch and no memory traffic.
-//! * Every allocation of registry state bumps a process-global counter
-//!   readable via [`metric_states_allocated`], so tests can *prove*
-//!   a metrics-off run allocated nothing (the `metrics_alloc` test in
-//!   `overlap`, mirroring `trace_alloc`/`fault_alloc`).
+//! * Every allocation of registry state (a registry or a registered
+//!   series) bumps the [`Layer::Metrics`] entry of the process-wide
+//!   ledger ([`crate::states_allocated`]), so a test can *prove* a
+//!   metrics-off run allocated nothing.
 //! * Recording on a live handle is lock-free: counters and gauges are a
 //!   single atomic RMW; a histogram observation is three relaxed
 //!   `fetch_add`s (count, sum, bucket). The registry mutex is taken only
@@ -23,6 +23,7 @@
 //! relative width per bucket — quantile estimates ([`HistogramSnapshot::quantile`])
 //! are therefore within ~12.5% of the true value at the midpoint rule.
 
+use crate::{json, note_state_allocated, Layer};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -31,15 +32,6 @@ use std::time::Instant;
 /// Number of histogram buckets: values 0–3 exactly, then 4 sub-buckets
 /// per octave up to the top of the `u64` range.
 pub const HISTOGRAM_BUCKETS: usize = 252;
-
-/// Process-global count of metric-state allocations (registries plus
-/// registered series). A metrics-off run must leave it untouched.
-static METRIC_STATES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-/// How many metric states (registries + series) this process allocated.
-pub fn metric_states_allocated() -> u64 {
-    METRIC_STATES_ALLOCATED.load(Ordering::Relaxed)
-}
 
 /// Bucket index of a value: exact for 0–3, then log-linear with 4
 /// sub-buckets per octave, clamped into the top bucket.
@@ -331,9 +323,9 @@ impl Metrics {
         Metrics { inner: None }
     }
 
-    /// A live registry (counted by [`metric_states_allocated`]).
+    /// A live registry (counted under [`Layer::Metrics`]).
     pub fn on() -> Self {
-        METRIC_STATES_ALLOCATED.fetch_add(1, Ordering::Relaxed);
+        note_state_allocated(Layer::Metrics);
         Metrics {
             inner: Some(Arc::new(Mutex::new(Tables::default()))),
         }
@@ -379,7 +371,7 @@ impl Metrics {
             t.series
                 .entry((name, labels))
                 .or_insert_with(|| {
-                    METRIC_STATES_ALLOCATED.fetch_add(1, Ordering::Relaxed);
+                    note_state_allocated(Layer::Metrics);
                     match kind {
                         Kind::Counter => Cell::Counter(Arc::new(AtomicU64::new(0))),
                         Kind::Gauge => Cell::Gauge(Arc::new(AtomicI64::new(0))),
@@ -527,7 +519,7 @@ impl Metrics {
             for ((name, labels), cell) in t.series.iter() {
                 let lbl = labels
                     .iter()
-                    .map(|(k, v)| format!("\"{}\": \"{}\"", escape(k), escape(v)))
+                    .map(|(k, v)| format!("{}: {}", json::escape(k), json::escape(v)))
                     .collect::<Vec<_>>()
                     .join(", ");
                 let body = match cell {
@@ -568,23 +560,20 @@ impl Metrics {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
+/// Prometheus text-format label-value escaping (`\\`, `\"`, `\n` only,
+/// as the exposition format defines it). Not a JSON escaper: the JSON
+/// renderer uses [`json::escape`].
+fn prom_label_escape(s: &str) -> String {
+    // Backslashes first, so the ones the later passes add stay single.
+    s.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 fn render_label_pairs(labels: &Labels) -> String {
     labels
         .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape(v)))
+        .map(|(k, v)| format!("{k}=\"{}\"", prom_label_escape(v)))
         .collect::<Vec<_>>()
         .join(",")
 }
@@ -609,8 +598,9 @@ fn with_le(lbl: &str, le: &str) -> String {
 mod tests {
     use super::*;
 
-    /// Serialises tests that assert on the process-wide allocation
-    /// counter (they would race under the parallel test runner).
+    /// Serialises every test that allocates metric state, so the tests
+    /// asserting exact ledger deltas see only their own allocations
+    /// under the parallel test runner.
     fn counter_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -638,7 +628,7 @@ mod tests {
     #[test]
     fn off_registry_allocates_nothing_and_handles_are_inert() {
         let _guard = counter_lock();
-        let before = metric_states_allocated();
+        let before = crate::states_allocated(Layer::Metrics);
         let m = Metrics::off();
         let c = m.counter("t_c", "help", &[]);
         let g = m.gauge("t_g", "help", &[]);
@@ -653,20 +643,20 @@ mod tests {
         assert!(h.start().is_none());
         assert_eq!(m.render_prometheus(), "");
         assert!(m.render_json().contains("\"metrics\""));
-        assert_eq!(metric_states_allocated(), before);
+        assert_eq!(crate::states_allocated(Layer::Metrics), before);
     }
 
     #[test]
     fn live_registry_counts_allocations_and_shares_cells() {
         let _guard = counter_lock();
-        let before = metric_states_allocated();
+        let before = crate::states_allocated(Layer::Metrics);
         let m = Metrics::on();
-        assert_eq!(metric_states_allocated(), before + 1);
+        assert_eq!(crate::states_allocated(Layer::Metrics), before + 1);
         let labels = [("rank", "0".to_string())];
         let c1 = m.counter("t_msgs", "messages", &labels);
         let c2 = m.counter("t_msgs", "messages", &labels);
         assert_eq!(
-            metric_states_allocated(),
+            crate::states_allocated(Layer::Metrics),
             before + 2,
             "series registered once"
         );
@@ -678,6 +668,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "registered with two different kinds")]
     fn kind_mismatch_panics() {
+        let _guard = counter_lock();
         let m = Metrics::on();
         m.counter("t_kind", "help", &[]);
         m.gauge("t_kind", "help", &[]);
@@ -685,6 +676,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_are_close() {
+        let _guard = counter_lock();
         let m = Metrics::on();
         let h = m.histogram("t_lat", "latency", &[]);
         for i in 1..=1000u64 {
@@ -702,6 +694,7 @@ mod tests {
 
     #[test]
     fn snapshot_merge_accumulates() {
+        let _guard = counter_lock();
         let m = Metrics::on();
         let a = m.histogram("t_a", "h", &[]);
         let b = m.histogram("t_b", "h", &[]);
@@ -719,6 +712,7 @@ mod tests {
 
     #[test]
     fn merged_snapshot_spans_label_sets() {
+        let _guard = counter_lock();
         let m = Metrics::on();
         m.histogram("t_multi", "h", &[("rank", "0".to_string())])
             .observe(5);
@@ -732,6 +726,7 @@ mod tests {
 
     #[test]
     fn prometheus_rendering_is_well_formed() {
+        let _guard = counter_lock();
         let m = Metrics::on();
         m.counter("t_total", "total events", &[("rank", "0".to_string())])
             .add(5);
@@ -758,12 +753,19 @@ mod tests {
 
     #[test]
     fn json_rendering_carries_quantiles() {
+        let _guard = counter_lock();
         let m = Metrics::on();
         let h = m.histogram("t_json", "h", &[("impl", "iv_b".to_string())]);
         for _ in 0..10 {
             h.observe(1000);
         }
+        let raw = "a\tb\u{1}c";
+        m.counter("t_raw", "h", &[("label", raw.to_string())]).inc();
         let json = m.render_json();
+        let doc = json::Value::parse(&json).expect("metrics JSON parses");
+        let rows = doc["metrics"].as_array().unwrap();
+        let row = rows.iter().find(|r| r["name"] == "t_raw").unwrap();
+        assert_eq!(row["labels"]["label"], raw);
         assert!(json.contains("\"name\": \"t_json\""));
         assert!(json.contains("\"impl\": \"iv_b\""));
         assert!(json.contains("\"count\": 10"));
@@ -773,6 +775,7 @@ mod tests {
 
     #[test]
     fn p999_sits_at_or_above_p99() {
+        let _guard = counter_lock();
         let m = Metrics::on();
         let h = m.histogram("t_p999", "h", &[]);
         for v in 0..1000u64 {
@@ -786,6 +789,7 @@ mod tests {
 
     #[test]
     fn observe_since_uses_live_clock_only() {
+        let _guard = counter_lock();
         let m = Metrics::on();
         let h = m.histogram("t_since", "h", &[]);
         let t0 = h.start();

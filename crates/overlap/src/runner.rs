@@ -67,8 +67,7 @@ pub struct RunConfig {
     pub fault: FaultSpec,
     /// Record runtime metrics during the run ([`RunReport::metrics`]).
     /// Off by default: the substrates then observe into disabled handles
-    /// and allocate no metric state (see
-    /// [`obs::registry::metric_states_allocated`]).
+    /// and allocate no metric state (see [`obs::states_allocated`]).
     pub metrics: bool,
     /// Explicit cache-blocking tile `(ty, tz)` for the interior sweeps;
     /// `None` (default) derives one from the host cache heuristic

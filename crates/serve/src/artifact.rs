@@ -12,8 +12,8 @@
 //! counters, and — when requested — the Prometheus metrics text and the
 //! Chrome trace document.
 
-use figures::json;
 use obs::chrome::chrome_trace;
+use obs::json;
 use overlap::runner::RunReport;
 use overlap::RunKey;
 
@@ -97,7 +97,7 @@ fn render_report(key: &RunKey, state: &advect_core::field::Field3, report: &RunR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use figures::json::Value;
+    use obs::json::Value;
     use overlap::{RunLimits, RunParams};
 
     #[test]

@@ -37,7 +37,7 @@
 //!          [--induce-deadline-miss] [--induce-straggler SEED]
 //! ```
 
-use figures::json::{self, Value};
+use obs::json::{self, Value};
 use overlap::{RunLimits, RunParams};
 use serve::protocol::{render_request, Request};
 use serve::server::{Server, ServerConfig};

@@ -14,11 +14,13 @@
 //!   kind are rendered per second; excess lines increment a suppression
 //!   counter that is reported in a synthetic `suppressed` line when the
 //!   window rolls over, so a reject storm cannot melt the log.
-//! * **Bounded memory.** The ring keeps the newest `capacity` lines and
-//!   counts evictions (`dropped`), surfaced through `{"cmd":"health"}`.
+//! * **Bounded memory.** Lines live in an [`obs::recorder::Ring`] that
+//!   keeps the newest `capacity`; evictions (`dropped`) are surfaced
+//!   through `{"cmd":"health"}`.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use obs::json;
+use obs::recorder::Ring;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -53,25 +55,22 @@ pub struct Fields {
 impl Fields {
     /// Append a string field (JSON-escaped).
     pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
-        self.buf.push_str(&format!(
-            ",{}:{}",
-            figures::json::escape(key),
-            figures::json::escape(value)
-        ));
+        self.buf
+            .push_str(&format!(",{}:{}", json::escape(key), json::escape(value)));
         self
     }
 
     /// Append an unsigned integer field.
     pub fn num(&mut self, key: &str, value: u64) -> &mut Self {
         self.buf
-            .push_str(&format!(",{}:{value}", figures::json::escape(key)));
+            .push_str(&format!(",{}:{value}", json::escape(key)));
         self
     }
 
     /// Append a float field (3 decimals).
     pub fn float(&mut self, key: &str, value: f64) -> &mut Self {
         self.buf
-            .push_str(&format!(",{}:{value:.3}", figures::json::escape(key)));
+            .push_str(&format!(",{}:{value:.3}", json::escape(key)));
         self
     }
 }
@@ -83,12 +82,10 @@ struct RateState {
 }
 
 struct LogInner {
-    ring: Mutex<VecDeque<String>>,
+    ring: Ring<String>,
     rate: Mutex<HashMap<&'static str, RateState>>,
-    capacity: usize,
     per_sec: u32,
     stderr: bool,
-    dropped: AtomicU64,
 }
 
 /// A bounded, rate-limited JSON-lines event log. Cloning shares the
@@ -120,12 +117,10 @@ impl Log {
         }
         Log {
             inner: Some(Arc::new(LogInner {
-                ring: Mutex::new(VecDeque::with_capacity(capacity)),
+                ring: Ring::with_capacity(capacity),
                 rate: Mutex::new(HashMap::new()),
-                capacity,
                 per_sec: per_sec.max(1),
                 stderr,
-                dropped: AtomicU64::new(0),
             })),
         }
     }
@@ -137,9 +132,9 @@ impl Log {
 
     /// Lines evicted from the ring so far.
     pub fn dropped(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.dropped.load(Ordering::Relaxed))
+        self.inner.as_ref().map_or(0, |i| {
+            i.ring.pushed().saturating_sub(i.ring.capacity() as u64)
+        })
     }
 
     /// Record one event. The closure fills in event-specific fields and
@@ -178,7 +173,7 @@ impl Log {
                 inner,
                 format!(
                     "{{\"ts_ms\":{now_ms},\"level\":\"warn\",\"event\":\"suppressed\",\"kind\":{},\"count\":{n}}}",
-                    figures::json::escape(kind)
+                    json::escape(kind)
                 ),
             );
         }
@@ -189,7 +184,7 @@ impl Log {
         let line = format!(
             "{{\"ts_ms\":{now_ms},\"level\":\"{}\",\"event\":{}{}}}",
             level.as_str(),
-            figures::json::escape(kind),
+            json::escape(kind),
             fields.buf
         );
         self.push_line(inner, line);
@@ -199,19 +194,14 @@ impl Log {
         if inner.stderr {
             eprintln!("{line}");
         }
-        let mut ring = inner.ring.lock().unwrap();
-        if ring.len() >= inner.capacity {
-            ring.pop_front();
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(line);
+        inner.ring.push(line);
     }
 
     /// The retained lines, oldest to newest.
     pub fn lines(&self) -> Vec<String> {
-        self.inner.as_ref().map_or_else(Vec::new, |i| {
-            i.ring.lock().unwrap().iter().cloned().collect()
-        })
+        self.inner
+            .as_ref()
+            .map_or_else(Vec::new, |i| i.ring.snapshot())
     }
 
     /// The retained lines as one JSON array (each line is already a
@@ -224,7 +214,7 @@ impl Log {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use figures::json::Value;
+    use obs::json::Value;
 
     #[test]
     fn off_log_records_and_costs_nothing() {

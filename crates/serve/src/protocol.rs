@@ -21,7 +21,7 @@
 //! once per execution, so identical canonicalized requests receive
 //! byte-identical artifact bytes (see [`crate::artifact`]).
 
-use figures::json::{self, Value};
+use obs::json::{self, Value};
 use overlap::RunParams;
 
 /// A parsed run request: who is asking, for what, and how long they
@@ -301,7 +301,7 @@ mod tests {
             .stack_size(2 * 1024 * 1024)
             .spawn(move || {
                 (
-                    figures::json::Value::parse(&line).is_err(),
+                    obs::json::Value::parse(&line).is_err(),
                     parse_line(&line).is_err(),
                 )
             })

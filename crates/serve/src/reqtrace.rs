@@ -331,7 +331,7 @@ pub fn render_bundle(input: &BundleInput<'_>) -> String {
     out.push('{');
     out.push_str(&format!(
         "\"kind\":{},\"seq\":{},\"captured_at_ns\":{}",
-        figures::json::escape(input.kind),
+        obs::json::escape(input.kind),
         input.seq,
         input.now_ns
     ));
@@ -375,7 +375,7 @@ pub fn render_bundle(input: &BundleInput<'_>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use figures::json::Value;
+    use obs::json::Value;
 
     #[test]
     fn tenant_hash_is_stable_and_distinguishes() {

@@ -50,7 +50,7 @@ use crate::protocol::Request;
 use crate::reqtrace::{
     self, Anomaly, BundleInput, ReqEvent, RequestId, SloConfig, SloTracker, Stage,
 };
-use obs::recorder::{Ring, StoredRun, TraceRing};
+use obs::recorder::{Ring, StoredRun};
 use obs::registry::{Counter, Gauge, Histogram, Metrics};
 use overlap::{RunKey, RunLimits};
 use parking_lot::{Condvar, Mutex};
@@ -271,7 +271,7 @@ struct ServiceObs {
     anchor: obs::Anchor,
     next_id: AtomicU64,
     events: Ring<ReqEvent>,
-    traces: TraceRing,
+    traces: Ring<StoredRun>,
     log: Log,
     slo: SloTracker,
     /// Wall second of the last burn-rate evaluation: the gauges and the
@@ -567,7 +567,7 @@ impl Server {
             anchor: obs::Anchor::now(),
             next_id: AtomicU64::new(0),
             events: Ring::with_capacity(cfg.recorder_capacity),
-            traces: TraceRing::with_capacity(if cfg.recorder_capacity == 0 {
+            traces: Ring::with_capacity(if cfg.recorder_capacity == 0 {
                 0
             } else {
                 cfg.trace_ring_capacity
@@ -1059,7 +1059,7 @@ fn worker_loop(inner: &Inner) {
                         Some(report.blame().render_json())
                     };
                     if inner.obs.traces.is_on() {
-                        inner.obs.traces.store(StoredRun {
+                        inner.obs.traces.push(StoredRun {
                             request_id: job.req_id,
                             exec_tid: job.req_id as u32,
                             exec_start_ns: exec_start,

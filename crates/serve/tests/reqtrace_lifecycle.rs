@@ -122,11 +122,11 @@ fn metrics_render_concurrently_with_executing_load() {
             let text = srv.metrics_text();
             assert!(text.contains("serve_requests_total"), "{text}");
             let json = srv.metrics_json();
-            figures::json::Value::parse(&json).expect("metrics JSON parses under load");
+            obs::json::Value::parse(&json).expect("metrics JSON parses under load");
             let events = srv.events_json();
-            figures::json::Value::parse(&events).expect("events JSON parses under load");
+            obs::json::Value::parse(&events).expect("events JSON parses under load");
             let health = srv.health_json();
-            figures::json::Value::parse(&health).expect("health JSON parses under load");
+            obs::json::Value::parse(&health).expect("health JSON parses under load");
         }
         load.join().expect("load thread");
     });
@@ -180,7 +180,7 @@ fn deadline_miss_dumps_exactly_one_bundle_per_trigger() {
         .collect();
     assert_eq!(bundles.len(), 1, "one bundle file on disk: {bundles:?}");
     let body = std::fs::read_to_string(dir.join(&bundles[0])).unwrap();
-    let v = figures::json::Value::parse(&body).expect("bundle parses");
+    let v = obs::json::Value::parse(&body).expect("bundle parses");
     assert_eq!(v["kind"].as_str(), Some("deadline_miss"));
     assert!(v["request_events"]
         .as_array()

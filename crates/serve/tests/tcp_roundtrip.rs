@@ -57,6 +57,19 @@ fn wire_protocol_round_trips_and_shuts_down() {
     assert!(metrics.contains("serve_requests_total"), "{metrics}");
     assert!(metrics.contains("serve_cache_hits_total"), "{metrics}");
 
+    // An oversized line (1 MiB, no newline) gets one error line and the
+    // connection closes; the server keeps serving fresh connections.
+    let mut hog = BufReader::new(TcpStream::connect(addr).expect("hog connects"));
+    hog.get_mut().write_all(&vec![b'a'; 1 << 20]).unwrap();
+    let mut refused = String::new();
+    hog.read_line(&mut refused).unwrap();
+    assert!(refused.contains("\"status\":\"error\""), "{refused}");
+    assert!(refused.contains("request line longer than"), "{refused}");
+    drop(hog);
+    let mut fresh = BufReader::new(TcpStream::connect(addr).expect("fresh connects"));
+    let pong = roundtrip(&mut fresh, "{\"cmd\":\"ping\"}");
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+
     let stopping = roundtrip(&mut conn, "{\"cmd\":\"shutdown\"}");
     assert!(stopping.contains("\"stopping\":true"), "{stopping}");
     listener.join().expect("listener thread joins");

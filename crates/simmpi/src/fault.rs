@@ -23,23 +23,7 @@
 //! straggle — replays exactly from the `u64` seed regardless of how the
 //! OS schedules the rank threads.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Fault-state allocations (the per-mailbox limbo boxes) made
-/// process-wide since start. [`FaultPlan::off`] worlds never allocate
-/// one; steady-state tests assert this stays flat, mirroring
-/// `obs::trace_buffers_allocated`.
-static FAULT_STATES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-/// Number of mailbox fault states ever allocated.
-pub fn fault_states_allocated() -> u64 {
-    FAULT_STATES_ALLOCATED.load(Ordering::Relaxed)
-}
-
-pub(crate) fn note_fault_state_allocated() {
-    FAULT_STATES_ALLOCATED.fetch_add(1, Ordering::Relaxed);
-}
 
 /// The splitmix64 finalizer: a fast, well-mixed 64-bit hash used to
 /// derive every per-message and per-rank fault decision.

@@ -65,8 +65,7 @@ mod pool;
 mod world;
 
 pub use comm::{Comm, CommStats, RecvRequest, SendRequest, Tag};
-pub use fault::{fault_states_allocated, splitmix64, FaultPlan, FaultStats};
-pub use mailbox::causal_states_allocated;
+pub use fault::{splitmix64, FaultPlan, FaultStats};
 pub use pool::PooledBuf;
 pub use world::World;
 
@@ -389,7 +388,7 @@ mod tests {
     #[test]
     fn untraced_comm_allocates_no_trace_buffers() {
         let _serial = trace_counter_lock();
-        let before = obs::trace_buffers_allocated();
+        let before = obs::states_allocated(obs::Layer::Trace);
         World::run(2, |comm| {
             let req = comm.irecv(1 - comm.rank(), 0);
             comm.send(1 - comm.rank(), 0, vec![1.0; 64]);
@@ -397,7 +396,7 @@ mod tests {
             comm.barrier();
             assert!(comm.tracer().finish().spans.is_empty());
         });
-        assert_eq!(obs::trace_buffers_allocated(), before);
+        assert_eq!(obs::states_allocated(obs::Layer::Trace), before);
     }
 
     #[test]
@@ -515,7 +514,7 @@ mod tests {
     /// genuinely zero-cost on the delivery path.
     #[test]
     fn off_plan_allocates_no_fault_state() {
-        let before = fault_states_allocated();
+        let before = obs::states_allocated(obs::Layer::Fault);
         World::run(3, |comm| {
             let right = (comm.rank() + 1) % 3;
             let left = (comm.rank() + 2) % 3;
@@ -524,7 +523,7 @@ mod tests {
             req.wait();
             assert_eq!(comm.fault_stats(), FaultStats::default());
         });
-        assert_eq!(fault_states_allocated(), before);
+        assert_eq!(obs::states_allocated(obs::Layer::Fault), before);
     }
 
     /// Straggler throttling slows the throttled section and records the

@@ -17,26 +17,16 @@
 //! deadline), so no background thread is needed and a fault-free world
 //! pays a single `Option` branch per delivery.
 
-use crate::fault::{note_fault_state_allocated, ns_to_duration, Delivery, FaultPlan};
+use crate::fault::{ns_to_duration, Delivery, FaultPlan};
+use obs::{note_state_allocated, Layer};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-/// Causal sequence states allocated process-wide since start (one per
-/// mailbox that ever delivered a stamped message). Untraced runs must
-/// leave this flat — the same zero-cost-off contract as
-/// [`crate::fault_states_allocated`] and `obs::trace_buffers_allocated`.
-static CAUSAL_STATES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-/// Number of per-mailbox causal sequence states ever allocated.
-pub fn causal_states_allocated() -> u64 {
-    CAUSAL_STATES_ALLOCATED.load(Ordering::Relaxed)
-}
 
 /// Per-channel send-sequence counters for causal message stamping.
 /// Allocated lazily on the first *stamped* delivery (i.e. only when the
-/// sender traces), so untraced worlds never pay for it.
+/// sender traces), so untraced worlds never pay for it; each allocation
+/// counts once under `obs::Layer::Causal`.
 #[derive(Default)]
 struct CausalSeq {
     next: HashMap<(usize, u64), u64>,
@@ -60,7 +50,7 @@ struct Held {
 }
 
 /// Fault-injection state of one mailbox (allocated only when the plan
-/// perturbs delivery; see [`crate::fault_states_allocated`]).
+/// perturbs delivery; counted under `obs::Layer::Fault`).
 struct Limbo {
     plan: FaultPlan,
     /// The owning rank (the destination every decision hash folds in).
@@ -140,9 +130,9 @@ pub(crate) struct Mailbox {
 
 impl Mailbox {
     /// A mailbox whose deliveries run through `plan`'s limbo. Allocates
-    /// the fault state (counted by [`crate::fault_states_allocated`]).
+    /// the fault state (counted under `obs::Layer::Fault`).
     pub fn with_faults(plan: FaultPlan, dst: usize) -> Self {
-        note_fault_state_allocated();
+        note_state_allocated(Layer::Fault);
         Self {
             channels: Mutex::new(Channels {
                 fault: Some(Box::new(Limbo {
@@ -177,7 +167,7 @@ impl Mailbox {
         c.peak_bytes = c.peak_bytes.max(c.bytes);
         let seq = if stamp {
             let causal = c.causal.get_or_insert_with(|| {
-                CAUSAL_STATES_ALLOCATED.fetch_add(1, Ordering::Relaxed);
+                note_state_allocated(Layer::Causal);
                 Box::default()
             });
             let next = causal.next.entry((src, tag)).or_insert(0);

@@ -37,7 +37,7 @@ impl World {
     /// Like [`World::run`], but every delivery, wait, and collective runs
     /// under `plan`'s seeded perturbations. With [`FaultPlan::off`] this
     /// is exactly `run` — fault-free worlds allocate no fault state
-    /// (see [`crate::fault_states_allocated`]).
+    /// (see `obs::states_allocated(Layer::Fault)`).
     pub fn run_with_faults<T, F>(size: usize, plan: FaultPlan, body: F) -> Vec<T>
     where
         T: Send,
