@@ -19,7 +19,7 @@
 //! * **error norms** ([`norms`]),
 //! * the serial and multithreaded **single-task steppers** implementing the
 //!   paper's three algorithmic steps (copy periodic boundaries → stencil →
-//!   state copy) ([`stepper`]),
+//!   state copy, which the threaded stepper does as a swap) ([`stepper`]),
 //! * an **OpenMP-like thread team** with `static` and `guided` loop
 //!   scheduling, used by the threaded steppers and by the overlap
 //!   implementations in the `overlap` crate ([`team`]),

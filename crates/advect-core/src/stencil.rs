@@ -287,7 +287,8 @@ pub fn apply_stencil_region_scalar(src: &Field3, dst: &mut Field3, s: &Stencil27
 }
 
 /// Copy `region` of `src` into the part of it owned by a destination
-/// z-slab (the threaded version of the paper's Step 3).
+/// z-slab (the threaded version of the paper's Step 3). The runners swap
+/// their fields instead, so this prices a pass they no longer make.
 pub fn copy_region_slab(src: &Field3, dst: &mut ZSlabMut<'_>, region: Range3) {
     let clipped = dst.owned_region(region);
     for z in clipped.z.0..clipped.z.1 {

@@ -6,16 +6,20 @@
 //! 2. compute the new state using Equation 2,
 //! 3. copy the new state to the current state.
 //!
-//! [`SerialStepper`] runs them on one thread; [`ThreadedStepper`] is the
-//! "single task with multiple threads" baseline, parallelizing Steps 2 and
-//! 3 across a [`ThreadTeam`] by z-slab (the OpenMP `collapse(2)` outer
-//! loops of the paper collapse to the same z/y partition).
+//! [`SerialStepper`] runs them on one thread, literally, and is the oracle.
+//! [`ThreadedStepper`] is the "single task with multiple threads"
+//! baseline, parallelizing Step 2 across a [`ThreadTeam`] by z-slab (the
+//! OpenMP `collapse(2)` outer loops of the paper collapse to the same z/y
+//! partition). It replaces Step 3 by swapping the two fields: Step 2
+//! writes every interior point of the new state and Step 1 rewrites every
+//! halo point before the next stencil reads one, so the swap gives the
+//! copy's result without the copy's pass over the grid.
 
-use crate::analytic::{AnalyticSolution, GaussianPulse};
+use crate::analytic::GaussianPulse;
 use crate::coeffs::{Stencil27, Velocity};
 use crate::field::Field3;
 use crate::norms::Norms;
-use crate::stencil::{apply_stencil, apply_stencil_region, copy_region_slab};
+use crate::stencil::{apply_stencil, apply_stencil_region};
 use crate::team::ThreadTeam;
 use crate::tile::TileSpec;
 
@@ -109,9 +113,7 @@ impl AdvectionProblem {
     /// of copying a fresh [`AdvectionProblem::initial_field`].
     pub fn fill_initial(&self, f: &mut Field3) {
         assert_eq!(f.interior(), (self.n, self.n, self.n), "wrong grid size");
-        let pulse = self.pulse();
-        let d = self.spacing;
-        f.fill_interior(|x, y, z| pulse.eval(x as f64 * d, y as f64 * d, z as f64 * d, 0.0));
+        self.pulse().fill(f, [0; 3], self.spacing, 0.0);
     }
 
     /// Error norms of `state` against the analytic solution after `steps`
@@ -178,6 +180,11 @@ impl SerialStepper {
         &mut self.cur
     }
 
+    /// Consume the stepper, returning the current state without a copy.
+    pub fn into_state(self) -> Field3 {
+        self.cur
+    }
+
     /// Number of steps taken so far.
     pub fn steps_taken(&self) -> u64 {
         self.steps_taken
@@ -191,12 +198,14 @@ impl SerialStepper {
 
 /// Multithreaded single-task stepper (implementation IV-A).
 ///
-/// With [`ThreadedStepper::with_time_tile`] the per-step Steps 1–3 are
-/// replaced by fused traversals: one periodic halo fill of depth `k`
-/// licenses `k` stencil applications in a single pass over the grid
-/// ([`crate::timetile`]), and the Step 3 copy disappears entirely (the
-/// two fields swap). The results stay bit-identical to straight
-/// stepping; only the traversal count changes.
+/// Each step fills the periodic halo, runs the stencil into the second
+/// field and swaps the two fields in place of the paper's Step 3 copy
+/// (see the module docs for why the swap is exact). With
+/// [`ThreadedStepper::with_time_tile`] the per-step sweeps are replaced
+/// by fused traversals: one periodic halo fill of depth `k` licenses `k`
+/// stencil applications in a single pass over the grid
+/// ([`crate::timetile`]). The results stay bit-identical to
+/// [`SerialStepper`]; only the traversal count changes.
 pub struct ThreadedStepper {
     problem: AdvectionProblem,
     stencil: Stencil27,
@@ -211,18 +220,25 @@ pub struct ThreadedStepper {
 
 impl ThreadedStepper {
     /// Initialize with a team of `threads` threads. Field allocations
-    /// are first-touch placed across the team ([`Field3::new_placed`]);
-    /// `ADVECT_TIME_TILE=<k>` applies [`ThreadedStepper::with_time_tile`]
-    /// automatically.
+    /// are first-touch placed across the team ([`Field3::new_placed`]),
+    /// and the initial pulse is sampled by z-slabs across the team;
+    /// `ADVECT_TIME_TILE=<k>` applies
+    /// [`ThreadedStepper::with_time_tile`] automatically.
     pub fn new(problem: AdvectionProblem, threads: usize) -> Self {
         let pool = crate::sweep::SweepPool::new(threads);
-        let mut cur = Field3::new_placed(problem.n, problem.n, problem.n, 1, &pool);
-        problem.fill_initial(&mut cur);
-        let new = Field3::new_placed(problem.n, problem.n, problem.n, 1, &pool);
+        let team = ThreadTeam::new(threads);
+        let n = problem.n;
+        let mut cur = Field3::new_placed(n, n, n, 1, &pool);
+        let pulse = problem.pulse();
+        let cuts = crate::tile::z_cuts(n, threads);
+        team.parallel_with(cur.z_slabs_mut(&cuts), |_ctx, mut slab| {
+            pulse.fill_slab(&mut slab, (n, n), [0; 3], problem.spacing, 0.0);
+        });
+        let new = Field3::new_placed(n, n, n, 1, &pool);
         let stepper = Self {
             problem,
             stencil: problem.stencil(),
-            team: ThreadTeam::new(threads),
+            team,
             tile: None,
             time_tile: None,
             pool,
@@ -292,7 +308,7 @@ impl ThreadedStepper {
         self.steps_taken += b as u64;
     }
 
-    /// Perform one time step (Steps 1–3, Steps 2 and 3 threaded; a
+    /// Perform one time step (Step 1, threaded Step 2, then the swap; a
     /// single fused traversal when a time tile is configured).
     pub fn step(&mut self) {
         if self.time_tile.is_some() {
@@ -316,14 +332,9 @@ impl ThreadedStepper {
                 apply_stencil(cur, &mut slab, stencil, region, tile);
             });
         }
-        // Step 3: copy new state to current state, threaded the same way.
-        {
-            let new = &self.new;
-            let slabs = self.cur.z_slabs_mut(&cuts);
-            self.team.parallel_with(slabs, |_ctx, mut slab| {
-                copy_region_slab(new, &mut slab, region);
-            });
-        }
+        // Step 3 as a swap: `new` holds every interior point of the new
+        // state, and the next Step 1 rewrites the halo it carries.
+        std::mem::swap(&mut self.cur, &mut self.new);
         self.steps_taken += 1;
     }
 
@@ -350,6 +361,11 @@ impl ThreadedStepper {
     /// Current state.
     pub fn state(&self) -> &Field3 {
         &self.cur
+    }
+
+    /// Consume the stepper, returning the current state without a copy.
+    pub fn into_state(self) -> Field3 {
+        self.cur
     }
 
     /// Steps-per-traversal currently configured (1 when no time tile).

@@ -240,7 +240,7 @@ impl SoakReport {
 pub fn oracle(cfg: &SoakConfig) -> Field3 {
     let mut s = SerialStepper::new(AdvectionProblem::general_case(cfg.n));
     s.run(cfg.steps);
-    s.state().clone()
+    s.into_state()
 }
 
 /// Run every implementation under every seed's fault schedule and

@@ -1,12 +1,15 @@
 //! Implementation IV-B: bulk-synchronous MPI.
 //!
 //! Each step performs the whole halo exchange (dimension-serialized,
-//! nonblocking receives posted first), then the full local stencil, then
-//! the state copy — no overlap of communication and computation.
+//! nonblocking receives posted first), then the full local stencil — no
+//! overlap of communication and computation. The paper's Step 3 copy is a
+//! swap of the two fields: the stencil writes every interior point of
+//! `new`, and the next exchange rewrites every halo point of the field
+//! swapped in before the stencil reads it.
 
 use crate::runner::{run_ranks, RunConfig, RunReport};
 use advect_core::field::Field3;
-use advect_core::stencil::{apply_stencil, copy_region_slab};
+use advect_core::stencil::apply_stencil;
 use advect_core::team::ThreadTeam;
 use advect_core::tile::z_cuts;
 
@@ -37,15 +40,9 @@ impl BulkSyncMpi {
                         apply_stencil(src, &mut slab, &stencil, region, tile);
                     });
                 }
-                // Step 3: copy new state to current state.
-                {
-                    let src = &new;
-                    let slabs = cur.z_slabs_mut(&cuts);
-                    team.parallel_with(slabs, |_ctx, mut slab| {
-                        copy_region_slab(src, &mut slab, region);
-                    });
-                }
                 r.comm.throttle_end(throttle);
+                // Step 3: the new state becomes the current one.
+                std::mem::swap(&mut cur, &mut new);
             });
             cur
         })

@@ -45,14 +45,9 @@ impl DeepHaloBulkSync {
                 width <= nx.min(ny).min(nz),
                 "halo width {width} exceeds subdomain extent ({nx},{ny},{nz})"
             );
-            // Wide-halo fields: reuse the initial fill, then re-home it
-            // into width-W storage.
-            let narrow = r.initial_field();
             let pool = SweepPool::new(cfg.threads);
             let mut cur = Field3::new_placed(nx, ny, nz, width, &pool);
-            for (x, y, z) in cur.interior_range().iter() {
-                *cur.at_mut(x, y, z) = narrow.at(x, y, z);
-            }
+            crate::runner::fill_local_initial(cfg, &r.sub, &mut cur);
             let mut new = Field3::new_placed(nx, ny, nz, width, &pool);
             let stencil = cfg.problem.stencil();
             let tile = match cfg.tile {
@@ -114,7 +109,7 @@ mod tests {
     fn reference(problem: AdvectionProblem, steps: u64) -> Field3 {
         let mut s = SerialStepper::new(problem);
         s.run(steps);
-        s.state().clone()
+        s.into_state()
     }
 
     #[test]

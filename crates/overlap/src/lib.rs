@@ -191,7 +191,7 @@ mod tests {
     fn reference(problem: AdvectionProblem, steps: u64) -> Field3 {
         let mut s = SerialStepper::new(problem);
         s.run(steps);
-        s.state().clone()
+        s.into_state()
     }
 
     fn check(im: Impl, cfg: &RunConfig, spec: Option<&GpuSpec>, what: &str) {

@@ -5,12 +5,16 @@
 //! into thirds along z; the first third is computed between the
 //! nonblocking initiation of the x communication and its completion, the
 //! second within y, and the third within z. The boundary points are
-//! computed after all communication completes.
+//! computed after all communication completes. The thirds and the
+//! boundary together write every interior point of `new`, so the paper's
+//! Step 3 copy is a swap of the two fields; the next step's three phases
+//! rewrite every halo point of the field swapped in, and only the
+//! boundary, computed after they complete, reads the halo.
 
 use crate::halo::{complete_phase, post_phase_recvs, send_phase};
 use crate::runner::{run_ranks, RunConfig, RunReport};
 use advect_core::field::Field3;
-use advect_core::stencil::{apply_stencil, copy_region_slab};
+use advect_core::stencil::apply_stencil;
 use advect_core::team::ThreadTeam;
 use advect_core::tile::z_cuts;
 use decomp::partition::{shell_and_core, thirds_along_z};
@@ -62,14 +66,8 @@ impl NonblockingMpi {
                         }
                     });
                 }
-                // Step 3: state copy.
-                {
-                    let src = &new;
-                    let slabs = cur.z_slabs_mut(&cuts);
-                    team.parallel_with(slabs, |_ctx, mut slab| {
-                        copy_region_slab(src, &mut slab, full);
-                    });
-                }
+                // Step 3: the new state becomes the current one.
+                std::mem::swap(&mut cur, &mut new);
             });
             cur
         })

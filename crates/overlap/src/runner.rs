@@ -557,33 +557,37 @@ pub(crate) fn run_ranks(
 /// A rank's local field, allocated and filled from the global initial
 /// condition for its subdomain.
 pub fn local_initial_field(cfg: &RunConfig, decomp: &Decomposition, rank: usize) -> Field3 {
-    let sub = decomp.subdomains[rank];
+    let sub = &decomp.subdomains[rank];
     let (nx, ny, nz) = sub.extent;
-    let (ox, oy, oz) = sub.offset;
-    let pulse = cfg.problem.pulse();
-    let d = cfg.problem.spacing;
     let mut f = Field3::new(nx, ny, nz, 1);
-    f.fill_interior(|x, y, z| {
-        use advect_core::analytic::AnalyticSolution;
-        pulse.eval(
-            (ox as i64 + x) as f64 * d,
-            (oy as i64 + y) as f64 * d,
-            (oz as i64 + z) as f64 * d,
-            0.0,
-        )
-    });
+    fill_local_initial(cfg, sub, &mut f);
     f
 }
 
+/// Sample the global initial condition into the interior of `f`, a field
+/// of `sub`'s extent with any halo width (halos untouched).
+pub(crate) fn fill_local_initial(cfg: &RunConfig, sub: &Subdomain, f: &mut Field3) {
+    let (ox, oy, oz) = sub.offset;
+    let origin = [ox as i64, oy as i64, oz as i64];
+    cfg.problem
+        .pulse()
+        .fill(f, origin, cfg.problem.spacing, 0.0);
+}
+
 /// Gather every rank's interior to rank 0 and assemble the global field.
-/// Returns `Some(global)` on rank 0, `None` elsewhere.
+/// Returns `Some(global)` on rank 0, `None` elsewhere. Rank 0 copies its
+/// own interior rows straight from `local`; only the other ranks pack.
 pub fn assemble_global(
     cfg: &RunConfig,
     decomp: &Decomposition,
     comm: &Comm,
     local: &Field3,
 ) -> Option<Field3> {
-    let payload = local.pack_vec(local.interior_range());
+    let payload = if comm.rank() == 0 {
+        Vec::new()
+    } else {
+        local.pack_vec(local.interior_range())
+    };
     let all = comm.gather_to_root(payload)?;
     let n = cfg.problem.n;
     let mut global = Field3::new(n, n, n, 1);
@@ -596,9 +600,12 @@ pub fn assemble_global(
         let mut i = 0;
         for z in 0..ez as i64 {
             for y in 0..ey as i64 {
-                global
-                    .row_mut(ox, oy + y, oz + z, ex)
-                    .copy_from_slice(&data[i..i + ex]);
+                let row = if rank == 0 {
+                    local.row(0, y, z, ex)
+                } else {
+                    &data[i..i + ex]
+                };
+                global.row_mut(ox, oy + y, oz + z, ex).copy_from_slice(row);
                 i += ex;
             }
         }

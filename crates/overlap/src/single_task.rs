@@ -5,7 +5,8 @@ use advect_core::field::Field3;
 use advect_core::stepper::ThreadedStepper;
 
 /// The baseline: one task, OpenMP-style threading over the three
-/// algorithmic steps (halo copy, stencil, state copy).
+/// algorithmic steps (halo copy, stencil, and the state copy done as a
+/// swap of the two fields).
 pub struct SingleTask;
 
 impl SingleTask {
@@ -22,6 +23,6 @@ impl SingleTask {
             let _span = solo.tracer.span(obs::Category::ComputeInterior, "step");
             stepper.step();
         });
-        solo.report(stepper.state().clone(), None)
+        solo.report(stepper.into_state(), None)
     }
 }

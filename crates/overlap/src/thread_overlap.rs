@@ -14,13 +14,19 @@
 //! disjoint by the interior/boundary split; both go through
 //! [`advect_core::field::SharedField`]'s `UnsafeCell` cells, keeping the
 //! overlap sound.
+//!
+//! The guided core and the boundary write every interior point of `new`,
+//! so the paper's Step 3 copy is a swap of the two fields; the master's
+//! next exchange rewrites every halo point of the field swapped in before
+//! the barrier that precedes the boundary, the only code that reads it.
+//! A straggler's slowdown is modelled on each thread's guided interior
+//! loop, the step's compute that runs outside the master's exchange.
 
 use crate::halo::exchange_halos_shared;
 use crate::runner::{run_ranks, RunConfig, RunReport};
 use advect_core::field::{Field3, Range3, SharedField};
-use advect_core::stencil::{apply_stencil, copy_region_slab};
+use advect_core::stencil::apply_stencil;
 use advect_core::team::{GuidedChunks, ThreadTeam};
-use advect_core::tile::z_cuts;
 use decomp::partition::shell_and_core;
 
 /// The OpenMP-thread-overlap distributed implementation.
@@ -37,7 +43,6 @@ impl ThreadOverlapMpi {
             let tile = cfg.tile_spec(cur.extents().0);
             let full = cur.interior_range();
             let (core, shell) = shell_and_core(full, 1);
-            let cuts = z_cuts(r.sub.extent.2, cfg.threads);
             r.steps(cfg.steps, || {
                 {
                     let core_planes = (core.z.1 - core.z.0).max(0) as usize;
@@ -52,6 +57,7 @@ impl ThreadOverlapMpi {
                             let (plan, bufs) = (&r.plan, &r.halo_bufs);
                             exchange_halos_shared(cur_ref, plan, r.decomp, r.rank, r.comm, bufs);
                         }
+                        let throttle = r.comm.throttle_start();
                         {
                             let _span = r
                                 .tracer
@@ -65,6 +71,7 @@ impl ThreadOverlapMpi {
                                 apply_stencil(cur_ref, new_ref, &stencil, region, tile);
                             }
                         }
+                        r.comm.throttle_end(throttle);
                         // Communication (master reached here) is complete
                         // before any thread computes boundary points.
                         ctx.barrier();
@@ -75,17 +82,8 @@ impl ThreadOverlapMpi {
                         }
                     });
                 }
-                // Step 3: state copy (the straggler-throttled section:
-                // pure compute, outside the master's comm window).
-                let throttle = r.comm.throttle_start();
-                {
-                    let src = &new;
-                    let slabs = cur.z_slabs_mut(&cuts);
-                    team.parallel_with(slabs, |_ctx, mut slab| {
-                        copy_region_slab(src, &mut slab, full);
-                    });
-                }
-                r.comm.throttle_end(throttle);
+                // Step 3: the new state becomes the current one.
+                std::mem::swap(&mut cur, &mut new);
             });
             cur
         })

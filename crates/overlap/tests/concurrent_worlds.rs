@@ -21,7 +21,7 @@ use simgpu::GpuSpec;
 fn serial_reference(n: usize, steps: u64) -> advect_core::field::Field3 {
     let mut serial = SerialStepper::new(AdvectionProblem::general_case(n));
     serial.run(steps);
-    serial.state().clone()
+    serial.into_state()
 }
 
 /// Run `configs` concurrently, one OS thread each (each world spawns

@@ -304,16 +304,20 @@ mod tests {
     fn wait_ns_counts_blocked_receives() {
         let results = World::run(2, |comm| {
             if comm.rank() == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(5));
+                // The receive is posted before this sleep starts, so the
+                // receiver's wait covers all of it but its own wake-up lag.
+                comm.barrier();
+                std::thread::sleep(std::time::Duration::from_millis(50));
                 comm.send(1, 0, vec![1.0]);
                 comm.stats()
             } else {
                 let req = comm.irecv(0, 0);
+                comm.barrier();
                 req.wait();
                 comm.stats()
             }
         });
-        // The receiver blocked for ~5ms waiting for the late sender.
+        // The receiver blocked for most of the sender's 50 ms sleep.
         assert!(
             results[1].wait_ns >= 2_000_000,
             "receiver wait_ns = {}",

@@ -6,7 +6,7 @@ use advection_overlap::prelude::*;
 fn reference(problem: AdvectionProblem, steps: u64) -> Field3 {
     let mut s = SerialStepper::new(problem);
     s.run(steps);
-    s.state().clone()
+    s.into_state()
 }
 
 #[test]
